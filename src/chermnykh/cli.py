@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 
 from . import reference_data as rd
 from .dynamics import integrate, zvc_contours
-from .equilibria import find_all
+from .equilibria import find_all, find_triangular
 from .errors import DomainError, NumericalError
 from .model import SystemParams
 from .stability import classify, critical_mass_exact, triangular_frequencies
@@ -593,6 +593,11 @@ def _sweep_point(task):
                     axis_x[e.kind] = e.x
         except (DomainError, NumericalError) as exc:
             note.append(f"equilibria failed: {exc}")
+            # the off-axis pair does not depend on the axis scan
+            try:
+                points = list(find_triangular(p))
+            except (DomainError, NumericalError):
+                pass
         freqs = None
         l4_class = "no-triangular-point"
         l4 = next((e for e in points if e.kind == "L4"), None)

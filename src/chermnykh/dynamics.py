@@ -23,9 +23,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .equilibria import EquilibriumPoint
+from .equilibria import EquilibriumPoint, require_refined
 from .errors import DomainError, IntegrationError, SingularPointError
-from .model import RotState, SystemParams, jacobi_constant, omega_grid
+from .model import RotState, SystemParams, grad_scalar, jacobi_constant, omega_grid
 
 # Dormand-Prince 5(4) tableau.
 _A = (
@@ -44,44 +44,9 @@ _H_INIT = 1e-3
 _SAFETY = 0.9
 
 
-class _CloseEncounter(Exception):
-    """Internal: a stage evaluation landed on a primary."""
-
-
-def _grad(p: SystemParams, x: float, y: float) -> tuple[float, float]:
-    """Scalar effective-potential gradient for the integrator hot loop.
-
-    Same closed form as model.omega_grad; kept in plain floats because the
-    array path costs an order of magnitude more per call.  Equivalence is
-    pinned by a test.
-    """
-    s = x + p.mu
-    u = s - 1.0
-    r1sq = s * s + y * y
-    r2sq = u * u + y * y
-    if r1sq < 1e-24 or r2sq < 1e-24:
-        raise _CloseEncounter
-    r13 = r1sq * math.sqrt(r1sq)
-    r23 = r2sq * math.sqrt(r2sq)
-    r25 = r23 * r2sq
-    a = (1.0 - p.mu) * p.q1 / r13
-    b = p.mu / r23
-    c = 1.5 * p.mu * p.a2 / r25
-    gx = p.n2 * x - a * s - b * u - c * u
-    gy = p.n2 * y - a * y - b * y - c * y
-    if p.mb:
-        w = x * x + y * y + p.t_belt**2
-        if w == 0.0:
-            raise _CloseEncounter
-        bw = p.mb / (w * math.sqrt(w))
-        gx -= bw * x
-        gy -= bw * y
-    return gx, gy
-
-
 def _rhs(p: SystemParams, s: tuple) -> tuple:
     x, y, vx, vy = s
-    gx, gy = _grad(p, x, y)
+    gx, gy = grad_scalar(p, x, y)
     n2 = 2.0 * p.n
     return (vx, vy, n2 * vy + gx, -n2 * vx + gy)
 
@@ -205,7 +170,7 @@ def integrate(
     status = "completed"
     try:
         k1 = _rhs(p, s)
-    except _CloseEncounter:
+    except SingularPointError:
         raise DomainError("initial state is on a primary") from None
     while t < t_end:
         if t + h > t_end:
@@ -215,7 +180,7 @@ def integrate(
             break
         try:
             s_new, k7, err = _dp_step(p, s, h, k1)
-        except _CloseEncounter:
+        except SingularPointError:
             status = "close-encounter"
             break
         except OverflowError:
@@ -284,7 +249,7 @@ def _integrate_rk4(p, start, t_end, h, c0, sample_times):
             k2 = _rhs(p, tuple(s[j] + 0.5 * h * k1[j] for j in range(4)))
             k3 = _rhs(p, tuple(s[j] + 0.5 * h * k2[j] for j in range(4)))
             k4 = _rhs(p, tuple(s[j] + h * k3[j] for j in range(4)))
-        except _CloseEncounter:
+        except SingularPointError:
             status = "close-encounter"
             break
         except OverflowError:
@@ -338,10 +303,7 @@ def stability_probe(
     """Empirical boundedness: integrate from e displaced by delta along +x
     at rest and return the maximum distance from e over the run.  A close
     encounter reports infinity."""
-    if e.residual > 1e-12:
-        raise DomainError(
-            f"point residual {e.residual:.3e} exceeds 1e-12; refine it first"
-        )
+    require_refined(p, e)
     if delta != 0.0 and not 1e-9 <= delta <= 1e-3:
         raise DomainError("delta must be 0 or in [1e-9, 1e-3]")
     traj = integrate(p, (e.x + delta, e.y, 0.0, 0.0), t_end, tol)
@@ -547,7 +509,8 @@ def zvc_contours(
             grid,
             diagnostic=(
                 f"level C = {c:.12g} lies below the grid minimum of 2*Omega "
-                f"({fmin:.12g}); the admissible region is empty"
+                f"({fmin:.12g}); the forbidden region is empty and motion is "
+                "allowed everywhere on the grid"
             ),
         )
 

@@ -308,6 +308,62 @@ def omega_hessian(p: SystemParams, x, y):
     return _ret(oxx), _ret(oxy), _ret(oyy)
 
 
+def grad_scalar(p: SystemParams, x: float, y: float) -> tuple[float, float]:
+    """(Omega_x, Omega_y) at one point, in plain floats.
+
+    The scalar kernel of the integrator's hot loop and of the axis root
+    polish: the same closed form as omega_grad at a tenth of the cost per
+    call.  Equivalence is pinned by a test.
+    """
+    s = x + p.mu
+    u = s - 1.0
+    r1sq = s * s + y * y
+    r2sq = u * u + y * y
+    if r1sq < 1e-24:
+        raise SingularPointError(BIGGER_PRIMARY, math.sqrt(r1sq))
+    if r2sq < 1e-24:
+        raise SingularPointError(SMALLER_PRIMARY, math.sqrt(r2sq))
+    r13 = r1sq * math.sqrt(r1sq)
+    r23 = r2sq * math.sqrt(r2sq)
+    r25 = r23 * r2sq
+    a = (1.0 - p.mu) * p.q1 / r13
+    b = p.mu / r23
+    c = 1.5 * p.mu * p.a2 / r25
+    gx = p.n2 * x - a * s - b * u - c * u
+    gy = p.n2 * y - a * y - b * y - c * y
+    if p.mb:
+        w = x * x + y * y + p.t_belt**2
+        if w == 0.0:
+            raise SingularPointError("belt centre (origin with t_belt = 0)", 0.0)
+        bw = p.mb / (w * math.sqrt(w))
+        gx -= bw * x
+        gy -= bw * y
+    return gx, gy
+
+
+def force_scale(p: SystemParams, x: float, y: float) -> float:
+    """Magnitude of the largest single term of grad Omega at (x, y): the
+    centrifugal pull, either primary's attraction, the oblateness term or
+    the belt's pull.  At an equilibrium these cancel, so a gradient residual
+    is meaningful only relative to this scale.  It is infinite on a
+    primary."""
+    r1sq = (x + p.mu) ** 2 + y * y
+    r2sq = (x + p.mu - 1.0) ** 2 + y * y
+    if r1sq == 0.0 or r2sq == 0.0:
+        return math.inf
+    rsq = x * x + y * y
+    terms = [
+        p.n2 * math.sqrt(rsq),
+        (1.0 - p.mu) * abs(p.q1) / r1sq,
+        p.mu / r2sq,
+        1.5 * p.mu * p.a2 / (r2sq * r2sq),
+    ]
+    if p.mb:
+        w = rsq + p.t_belt**2
+        terms.append(p.mb * math.sqrt(rsq) / (w * math.sqrt(w)) if w else 0.0)
+    return max(terms)
+
+
 def jacobi_constant(p: SystemParams, s: RotState) -> float:
     """Jacobi constant C = 2 Omega(x, y) - vx^2 - vy^2."""
     return 2.0 * omega(p, s.x, s.y) - s.vx**2 - s.vy**2

@@ -33,6 +33,7 @@ from .reference_data import LINEAR_SERIES
 from .equilibria import (
     EquilibriumPoint,
     find_triangular,
+    require_refined,
     triangular_analytic,
 )
 from .errors import (
@@ -107,16 +108,9 @@ class ResonanceTerms(NamedTuple):
     b2: float
 
 
-def _require_refined(e: EquilibriumPoint) -> None:
-    if e.residual > 1e-12:
-        raise DomainError(
-            f"point residual {e.residual:.3e} exceeds 1e-12; refine it first"
-        )
-
-
 def linear_system(p: SystemParams, e: EquilibriumPoint) -> np.ndarray:
     """First-order variational matrix at a refined equilibrium."""
-    _require_refined(e)
+    require_refined(p, e)
     oxx, oxy, oyy = omega_hessian(p, e.x, e.y)
     n = p.n
     return np.array(
@@ -153,7 +147,7 @@ def _g_bracket(p: SystemParams, x: float, y: float, r1: float, r2: float) -> flo
 
 def char_coeffs(p: SystemParams, e: EquilibriumPoint) -> CharCoefficients:
     """Quartic coefficients by the Hessian route (normative)."""
-    _require_refined(e)
+    require_refined(p, e)
     oxx, oxy, oyy = omega_hessian(p, e.x, e.y)
     b = 4.0 * p.n2 - oxx - oyy
     d = oxx * oyy - oxy * oxy

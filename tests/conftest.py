@@ -1,8 +1,14 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from chermnykh.model import SystemParams
+
+# Property tests draw the same examples on every run, and a loaded machine
+# cannot fail them on time.
+settings.register_profile("chermnykh", deadline=None, derandomize=True)
+settings.load_profile("chermnykh")
 
 # The reference configuration used throughout the published tables:
 # mu = 0.025, rc = 0.8, T = 0.01.

@@ -387,6 +387,17 @@ class TestSweepCommand:
         assert row["l4_classification"] == "no-triangular-point"
         assert row["omega1"] == ""
 
+    def test_failed_axis_keeps_the_triangular_columns(self, tmp_path):
+        # at mu = 1/2 the belt pair trips the axis labelling; L4 does not
+        # depend on it and is still reported
+        _, text = run_to_file(
+            tmp_path, ["sweep", "--sweep-mu", "0.5", "--mb", "0.3"], "s.csv"
+        )
+        row = dict(zip(text.splitlines()[1].split(","), text.splitlines()[2].split(",", 13)))
+        assert "equilibria failed" in row["note"] and "are not ordered" in row["note"]
+        assert row["n_axis_points"] == "0" and row["l1_x"] == ""
+        assert row["l4_classification"] == "Unstable-ComplexQuartet"
+
     def test_worker_pool_output_identical(self, tmp_path):
         argv = ["sweep", "--sweep-q1", "0.25:1:0.25", "--sweep-mb", "0,0.2"]
         _, serial = run_to_file(tmp_path, argv + ["--jobs", "1"], "s1.csv")

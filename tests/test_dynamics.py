@@ -141,6 +141,13 @@ class TestEquilibriumProbes:
         with pytest.raises(DomainError, match="refine"):
             stability_probe(CLASSICAL, rough, 1e-6, 1.0)
 
+    def test_residual_gate_scales_with_the_force_terms(self):
+        # 1.364e-12 is far below the ~3e3 force terms at the belt-core Xb2
+        p = SystemParams(mu=0.025, mb=0.8)
+        xb2 = next(e for e in find_collinear(p) if e.kind == "Xb2")
+        xb2 = EquilibriumPoint("Xb2", xb2.x, 0.0, xb2.r1, xb2.r2, 1.364e-12)
+        assert stability_probe(p, xb2, 0.0, 0.01) >= 0.0
+
     def test_close_encounter_reports_infinity(self):
         # a point resting 1e-9 above the smaller primary falls straight in
         p = CLASSICAL
@@ -287,9 +294,9 @@ class TestFixedStepDebugMode:
 
 
 def test_scalar_gradient_matches_model():
-    # the integrator's plain-float gradient must agree with the array path
-    from chermnykh.dynamics import _grad
-    from chermnykh.model import omega_grad
+    # the plain-float gradient of the integrator and the axis polish must
+    # agree with the array path
+    from chermnykh.model import grad_scalar, omega_grad
 
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -303,7 +310,7 @@ def test_scalar_gradient_matches_model():
         y = float(rng.uniform(-2.0, 2.0))
         if math.hypot(x + p.mu, y) < 1e-3 or math.hypot(x + p.mu - 1.0, y) < 1e-3:
             continue
-        gx, gy = _grad(p, x, y)
+        gx, gy = grad_scalar(p, x, y)
         ax, ay = omega_grad(p, x, y)
         assert gx == pytest.approx(ax, rel=1e-14, abs=1e-14)
         assert gy == pytest.approx(ay, rel=1e-14, abs=1e-14)
@@ -396,6 +403,13 @@ class TestZeroVelocityCurves:
         cs = zvc_contours(CLASSICAL, 2.5)
         assert cs.polylines == ()
         assert cs.diagnostic is not None and "below" in cs.diagnostic
+
+    def test_below_minimum_diagnostic_says_motion_is_allowed(self):
+        # 2 Omega > C everywhere: nothing is forbidden, not nothing allowed
+        cs = zvc_contours(CLASSICAL, 2.5)
+        assert "forbidden region is empty" in cs.diagnostic
+        assert "allowed everywhere" in cs.diagnostic
+        assert "admissible region is empty" not in cs.diagnostic
 
     def test_level_above_minimum_has_no_diagnostic(self):
         cs = zvc_contours(CLASSICAL, 3.5)

@@ -6,6 +6,7 @@ full double precision.
 """
 
 import math
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -29,6 +30,7 @@ from chermnykh.errors import (
     ConvergenceError,
     DomainError,
     NoTriangularPointsError,
+    ScanError,
 )
 from chermnykh.model import SystemParams, omega_grad
 
@@ -144,6 +146,26 @@ class TestFindCollinear:
     def test_rejects_tiny_sample_count(self, classical):
         with pytest.raises(DomainError):
             scan_collinear(classical, samples=4)
+
+    def test_point_mass_belt_is_a_domain_error(self):
+        # t_belt = 0 puts the whole belt at the origin: a singular point of
+        # the axis force, not a root pattern more samples could resolve
+        with pytest.raises(DomainError) as info:
+            find_collinear(SystemParams(mu=0.025, mb=0.2, t_belt=0.0))
+        msg = str(info.value)
+        assert "mb" in msg and "t_belt" in msg
+        assert "increase samples" not in msg
+
+    def test_exact_root_pattern_gives_no_sampling_advice(self):
+        # q1 = 0 without a belt: no root left of the primary, and every
+        # piece there is certified monotone, so the count is exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = SystemParams(mu=0.025, q1=0.0)
+        with pytest.raises(ScanError) as info:
+            find_collinear(p)
+        assert "left=0" in str(info.value)
+        assert "increase samples" not in str(info.value)
 
 
 class TestTriangularAnalytic:
@@ -288,6 +310,26 @@ class TestFindAll:
     def test_strong_belt_seven(self):
         kinds = [e.kind for e in find_all(STRONG_BELT)]
         assert kinds == ["L3", "Xb2", "Xb1", "L1", "L2", "L4", "L5"]
+
+    def test_continuation_when_the_seed_does_not_exist(self):
+        # the closed-form seed finds no circle crossing, yet L4 exists
+        p = SystemParams(mu=0.1674, mb=0.9)
+        with pytest.raises(NoTriangularPointsError):
+            triangular_analytic(p)
+        l4, l5 = find_triangular(p)
+        assert l4.kind == "L4"
+        assert l4.x == pytest.approx(0.3326, abs=1e-9)
+        assert l4.y == pytest.approx(0.673944, abs=1e-6)
+        assert l4.residual <= 1e-12
+        assert (l5.x, l5.y) == (l4.x, -l4.y)
+
+    def test_no_triangular_points_at_q1_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = SystemParams(mu=0.025, q1=0.0, mb=0.2)
+        with pytest.raises(DomainError) as info:
+            find_triangular(p)
+        assert not isinstance(info.value, NoTriangularPointsError)
 
     def test_no_triangular_still_returns_axis(self):
         pts = find_all(SystemParams(mu=0.025, q1=0.001, mb=0.6))

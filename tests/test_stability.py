@@ -219,6 +219,22 @@ class TestClassify:
     def test_report_type(self, classical):
         assert isinstance(classify(classical, l4_of(classical)), StabilityReport)
 
+    def test_residual_gate_is_relative_to_the_force_terms(self):
+        # Xb2 sits in the belt core, where single force terms reach ~3e3;
+        # a bisection polish left it with residual 1.364e-12, which an
+        # absolute 1e-12 gate rejected
+        p = SystemParams(mu=0.025, mb=0.8)
+        xb2 = next(e for e in find_collinear(p) if e.kind == "Xb2")
+        assert classify(p, replace(xb2, residual=1.364e-12)).classification
+        with pytest.raises(DomainError, match="refine it first"):
+            classify(p, replace(xb2, residual=1e-6))
+
+    def test_every_inner_pair_point_classifies(self):
+        for mb in np.linspace(0.68, 1.5, 12):
+            p = SystemParams(mu=0.025, mb=float(mb))
+            for e in find_collinear(p):
+                classify(p, e)
+
 
 class TestCollinearFStar:
     def test_exceeds_one_at_classical_points(self, classical):
