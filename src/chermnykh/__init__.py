@@ -15,18 +15,12 @@ from .errors import (
     SingularPointError,
 )
 from .model import (
-    BeltProfile,
-    RadiationInput,
     RotState,
     SystemParams,
-    belt_density,
-    belt_potential,
     jacobi_constant,
-    mean_motion,
     omega,
     omega_grad,
     omega_hessian,
-    q1_from_particle,
 )
 from .equilibria import (
     CollinearScan,
@@ -35,7 +29,6 @@ from .equilibria import (
     find_all,
     find_collinear,
     find_triangular,
-    inner_point_condition,
     refine_equilibrium,
     scan_collinear,
     triangular_analytic,

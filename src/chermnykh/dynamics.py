@@ -25,7 +25,7 @@ import numpy as np
 
 from .equilibria import EquilibriumPoint, require_refined
 from .errors import DomainError, IntegrationError, SingularPointError
-from .model import RotState, SystemParams, grad_scalar, jacobi_constant, omega_grid
+from .model import RotState, SystemParams, jacobi_constant, omega_grad, omega_grid
 
 # Dormand-Prince 5(4) tableau.
 _A = (
@@ -46,7 +46,7 @@ _SAFETY = 0.9
 
 def _rhs(p: SystemParams, s: tuple) -> tuple:
     x, y, vx, vy = s
-    gx, gy = grad_scalar(p, x, y)
+    gx, gy = omega_grad(p, x, y)
     n2 = 2.0 * p.n
     return (vx, vy, n2 * vy + gx, -n2 * vx + gy)
 
@@ -111,8 +111,6 @@ def integrate(
     t_end: float,
     tol: float = 1e-10,
     sample_times: Sequence[float] | None = None,
-    method: str = "dp54",
-    fixed_step: float = 1e-3,
 ) -> Trajectory:
     """Integrate the rotating-frame equations from s0 for t in [0, t_end].
 
@@ -120,9 +118,6 @@ def integrate(
     trajectory is reported at exactly those instants (cubic Hermite dense
     output); otherwise every accepted step is reported.  Jacobi drift is
     always measured on the accepted steps themselves.
-
-    method "rk4" is a fixed-step classical Runge-Kutta debug mode using
-    fixed_step; tol is then ignored.
     """
     if isinstance(s0, RotState):
         start = (s0.x, s0.y, s0.vx, s0.vy)
@@ -134,9 +129,7 @@ def integrate(
         raise DomainError("initial state must be finite")
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise DomainError("t_end must be positive and finite")
-    if method not in ("dp54", "rk4"):
-        raise DomainError(f"unknown method {method!r}")
-    if method == "dp54" and not 1e-14 <= tol <= 1e-6:
+    if not 1e-14 <= tol <= 1e-6:
         raise DomainError("tol must lie in [1e-14, 1e-6]")
     if sample_times is not None:
         sample_times = [float(t) for t in sample_times]
@@ -146,8 +139,6 @@ def integrate(
             raise DomainError("sample_times must lie within [0, t_end]")
 
     c0 = jacobi_constant(p, RotState(*start))  # also validates regularity
-    if method == "rk4":
-        return _integrate_rk4(p, start, t_end, fixed_step, c0, sample_times)
 
     samples: list[RotState] = []
     si = 0  # next requested sample index
@@ -222,66 +213,6 @@ def integrate(
             fac = min(1.0, max(0.2, _SAFETY * en**-0.2))
         h *= min(5.0, max(0.2, fac))
     return Trajectory(tuple(samples), c0, max_drift, status, n_acc, n_rej)
-
-
-def _integrate_rk4(p, start, t_end, h, c0, sample_times):
-    """Fixed-step classical Runge-Kutta, debug mode."""
-    if not (0.0 < h <= t_end):
-        raise DomainError("fixed_step must lie in (0, t_end]")
-    samples: list[RotState] = []
-    n = max(1, round(t_end / h))
-    h = t_end / n
-    t, s = 0.0, start
-    max_drift = 0.0
-    want = list(sample_times) if sample_times is not None else None
-    si = 0
-
-    def emit(tc, sc):
-        samples.append(RotState(sc[0], sc[1], sc[2], sc[3], tc))
-
-    if want is None:
-        emit(t, s)
-    status = "completed"
-    done = 0
-    for i in range(n):
-        try:
-            k1 = _rhs(p, s)
-            k2 = _rhs(p, tuple(s[j] + 0.5 * h * k1[j] for j in range(4)))
-            k3 = _rhs(p, tuple(s[j] + 0.5 * h * k2[j] for j in range(4)))
-            k4 = _rhs(p, tuple(s[j] + h * k3[j] for j in range(4)))
-        except SingularPointError:
-            status = "close-encounter"
-            break
-        except OverflowError:
-            raise IntegrationError(
-                "state left the representable range", RotState(*s, t=t), t
-            ) from None
-        s_next = tuple(
-            s[j] + h / 6.0 * (k1[j] + 2 * k2[j] + 2 * k3[j] + k4[j])
-            for j in range(4)
-        )
-        if not all(math.isfinite(v) for v in s_next):
-            raise IntegrationError("state became non-finite", RotState(*s, t=t), t)
-        s = s_next
-        t = (i + 1) * h
-        done = i + 1
-        try:
-            drift = abs(jacobi_constant(p, RotState(*s, t=t)) - c0) / abs(c0)
-        except SingularPointError:
-            status = "close-encounter"
-            break
-        except OverflowError:
-            raise IntegrationError(
-                "state left the representable range", RotState(*s, t=t), t
-            ) from None
-        max_drift = max(max_drift, drift)
-        if want is None:
-            emit(t, s)
-        else:
-            while si < len(want) and want[si] <= t:
-                emit(want[si], s)  # nearest-step; debug mode keeps it simple
-                si += 1
-    return Trajectory(tuple(samples), c0, max_drift, status, done, 0)
 
 
 def reverse_involution(s: RotState) -> RotState:

@@ -21,6 +21,12 @@ has the belt part (2 rc - 1) M_b / (rc^2 + T^2)^{3/2}, which gives the
 (1 - 2 rc) factor of the printed triangular radii and of the b2 resonance
 term, and the published frequency pairs satisfy omega1^2 + omega2^2 ~ n^2
 only with it.
+
+Omega and its first two derivatives are written out once, in ``kernel``,
+whose body runs unchanged on Python floats and on numpy arrays.
+``omega``, ``omega_grad`` and ``omega_hessian`` are that kernel behind the
+singularity guard ``check_regular``; ``omega_grid`` is the unguarded
+kernel for level-set grids.
 """
 
 from __future__ import annotations
@@ -38,6 +44,11 @@ SINGULARITY_RADIUS = 1e-12
 
 BIGGER_PRIMARY = "bigger primary at (-mu, 0)"
 SMALLER_PRIMARY = "smaller primary at (1 - mu, 0)"
+
+# Below this belt width T, the belt's pull M_b r / w^{3/2}, w = r^2 + T^2,
+# has a denominator that underflows to 0 near the origin (w < ~1e-216).
+THIN_BELT = 1e-100
+BELT_CENTRE = f"belt centre (origin, with t_belt = 0 or below {THIN_BELT:g})"
 
 
 @dataclass(frozen=True)
@@ -84,7 +95,7 @@ class SystemParams:
                 f"q1 = {self.q1} <= 0: radiation pressure cancels or exceeds "
                 "the bigger primary's gravity; most closed forms degenerate",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to its caller
             )
         object.__setattr__(
             self,
@@ -119,212 +130,40 @@ class RotState:
                 raise DomainError(f"RotState.{name} must be finite")
 
 
-@dataclass(frozen=True)
-class BeltProfile:
-    """Belt shape: flatness parameter a, core parameter b, total mass mb."""
-
-    mb: float
-    a_flat: float
-    b_core: float
-
-    def __post_init__(self):
-        if self.mb < 0.0:
-            raise DomainError(f"mb must be >= 0, got {self.mb}")
-        if self.a_flat < 0.0 or self.b_core < 0.0:
-            raise DomainError("a_flat and b_core must be >= 0")
-
-    @property
-    def t_belt(self) -> float:
-        return self.a_flat + self.b_core
-
-
-@dataclass(frozen=True)
-class RadiationInput:
-    """Grain properties fixing the mass-reduction factor (CGS units)."""
-
-    particle_radius: float  # cm
-    particle_density: float  # g / cm^3
-    chi: float  # radiation-pressure efficiency factor
-
-    def __post_init__(self):
-        if not self.particle_radius > 0.0:
-            raise DomainError("particle_radius must be > 0")
-        if not self.particle_density > 0.0:
-            raise DomainError("particle_density must be > 0")
-        if self.chi < 0.0:
-            raise DomainError("chi must be >= 0")
-
-
-def mean_motion(p: SystemParams) -> float:
-    """Perturbed mean motion n of the rotating frame."""
-    return p.n
-
-
-def q1_from_particle(r: RadiationInput) -> float:
-    """Mass-reduction factor q1 = 1 - 5.6e-5 * chi / (a * rho).
-
-    May come out <= 0 for sufficiently small or light grains; the value is
-    returned as-is with a warning so callers can decide what to do with it.
-    """
-    denom = r.particle_radius * r.particle_density
-    if denom == 0.0:
-        raise DomainError("particle_radius * particle_density must be nonzero")
-    q1 = 1.0 - 5.6e-5 * r.chi / denom
-    if q1 <= 0.0:
-        warnings.warn(
-            f"q1 = {q1:.6g} <= 0: radiation pressure exceeds gravity for this grain",
-            UserWarning,
-            stacklevel=2,
-        )
-    return q1
-
-
-def belt_potential(profile: BeltProfile, r: float, z: float) -> float:
-    """Belt potential V(r, z) = -mb / sqrt(r^2 + (a + sqrt(z^2 + b^2))^2).
-
-    At z = 0 this reduces exactly to -mb / sqrt(r^2 + T^2) with T = a + b.
-    """
-    if profile.mb == 0.0:
-        return 0.0
-    s = profile.a_flat + math.hypot(z, profile.b_core)
-    denom = math.hypot(r, s)
-    if denom == 0.0:
-        raise SingularPointError("belt centre (r = z = a = b = 0)", 0.0)
-    return -profile.mb / denom
-
-
-def belt_density(profile: BeltProfile, r: float, z: float) -> float:
-    """Belt volume density, evaluated exactly as the printed profile.
-
-    rho = b^2 mb [a r^2 + (a + 3N)] (a + N)^2 / (N^3 [r^2 + (a + N)^2]^{5/2})
-    with N = sqrt(z^2 + b^2).  Note two quirks kept on purpose: the numerator
-    groups (a + 3N) alone rather than (a + 3N)(a + N)^2 with the a r^2 term,
-    and there is no 1/(4 pi) normalization.  Diagnostic output only; nothing
-    downstream integrates this density.
-    """
-    if profile.mb == 0.0:
-        return 0.0
-    if profile.b_core == 0.0:
-        raise DomainError("b_core must be > 0 for the density (N^3 singular)")
-    a = profile.a_flat
-    n_core = math.hypot(z, profile.b_core)
-    num = (
-        profile.b_core**2
-        * profile.mb
-        * (a * r * r + (a + 3.0 * n_core))
-        * (a + n_core) ** 2
-    )
-    den = n_core**3 * (r * r + (a + n_core) ** 2) ** 2.5
-    return num / den
-
-
 # ---------------------------------------------------------------------------
-# Effective potential.  All three functions accept scalars or numpy arrays
-# and return matching shapes; scalar inputs give back plain floats.
+# Effective potential.  ``kernel`` holds the formula; the guarded names
+# accept scalars, sequences or numpy arrays, check the points first, and
+# give back plain floats for scalar input.
 
 
-def _fields(p: SystemParams, x, y):
-    """Common distance quantities; raises on (numerically) singular input."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    s = x + p.mu
-    u = x + p.mu - 1.0
-    r1 = np.hypot(s, y)
-    r2 = np.hypot(u, y)
-    if np.any(r1 < SINGULARITY_RADIUS):
-        raise SingularPointError(BIGGER_PRIMARY, float(np.min(r1)))
-    if np.any(r2 < SINGULARITY_RADIUS):
-        raise SingularPointError(SMALLER_PRIMARY, float(np.min(r2)))
-    w = x * x + y * y + p.t_belt**2
-    if p.mb > 0.0 and np.any(w == 0.0):
-        raise SingularPointError("belt centre (origin with t_belt = 0)", 0.0)
-    return x, y, s, u, r1, r2, w
+def kernel(p: SystemParams, x, y, order: int):
+    """Omega (order 0), its gradient (Omega_x, Omega_y) (order 1), or the
+    gradient and the Hessian, ((Omega_x, Omega_y), (Omega_xx, Omega_xy,
+    Omega_yy)) (order 2), at (x, y), with no singularity guard.
 
-
-def _ret(v):
-    return float(v) if np.ndim(v) == 0 else v
-
-
-def omega(p: SystemParams, x, y):
-    """Effective potential Omega(x, y)."""
-    x, y, s, u, r1, r2, w = _fields(p, x, y)
-    val = (
-        0.5 * p.n2 * (x * x + y * y)
-        + (1.0 - p.mu) * p.q1 / r1
-        + p.mu / r2
-        + 0.5 * p.mu * p.a2 / r2**3
-        + (p.mb / np.sqrt(w) if p.mb else 0.0)
-    )
-    return _ret(val)
-
-
-def omega_grad(p: SystemParams, x, y):
-    """Exact partial derivatives (Omega_x, Omega_y)."""
-    x, y, s, u, r1, r2, w = _fields(p, x, y)
-    a_big = (1.0 - p.mu) * p.q1
-    r13 = r1**3
-    r23 = r2**3
-    r25 = r2**5
-    belt = p.mb / w**1.5 if p.mb else 0.0
-    gx = p.n2 * x - a_big * s / r13 - p.mu * u / r23 - 1.5 * p.mu * p.a2 * u / r25 - belt * x
-    gy = p.n2 * y - a_big * y / r13 - p.mu * y / r23 - 1.5 * p.mu * p.a2 * y / r25 - belt * y
-    return _ret(gx), _ret(gy)
-
-
-def omega_hessian(p: SystemParams, x, y):
-    """Second derivatives (Omega_xx, Omega_xy, Omega_yy); symmetric by construction."""
-    x, y, s, u, r1, r2, w = _fields(p, x, y)
-    a_big = (1.0 - p.mu) * p.q1
-    c_obl = 1.5 * p.mu * p.a2
-    r13, r15 = r1**3, r1**5
-    r23, r25, r27 = r2**3, r2**5, r2**7
-    if p.mb:
-        w3, w5 = w**1.5, w**2.5
-        bxx = p.mb * (1.0 / w3 - 3.0 * x * x / w5)
-        byy = p.mb * (1.0 / w3 - 3.0 * y * y / w5)
-        bxy = 3.0 * p.mb * x * y / w5
-    else:
-        bxx = byy = bxy = 0.0
-    oxx = (
-        p.n2
-        - a_big * (1.0 / r13 - 3.0 * s * s / r15)
-        - p.mu * (1.0 / r23 - 3.0 * u * u / r25)
-        - c_obl * (1.0 / r25 - 5.0 * u * u / r27)
-        - bxx
-    )
-    oyy = (
-        p.n2
-        - a_big * (1.0 / r13 - 3.0 * y * y / r15)
-        - p.mu * (1.0 / r23 - 3.0 * y * y / r25)
-        - c_obl * (1.0 / r25 - 5.0 * y * y / r27)
-        - byy
-    )
-    oxy = (
-        3.0 * a_big * s * y / r15
-        + 3.0 * p.mu * u * y / r25
-        + 5.0 * c_obl * u * y / r27
-        + bxy
-    )
-    return _ret(oxx), _ret(oxy), _ret(oyy)
-
-
-def grad_scalar(p: SystemParams, x: float, y: float) -> tuple[float, float]:
-    """(Omega_x, Omega_y) at one point, in plain floats.
-
-    The scalar kernel of the integrator's hot loop and of the axis root
-    polish: the same closed form as omega_grad at a tenth of the cost per
-    call.  Equivalence is pinned by a test.
+    x and y are floats or numpy arrays that broadcast together.  The body
+    uses only + - * / and the correctly rounded square root of its operand
+    kind, math.sqrt on plain floats and np.sqrt otherwise, so a float and
+    the same point inside an array give bit-identical results.  (Python's
+    float ** 0.5 is libm pow, which now and then misses that root in the
+    last bit; numpy turns ** 0.5 on arrays into np.sqrt.)
     """
     s = x + p.mu
     u = s - 1.0
-    r1sq = s * s + y * y
-    r2sq = u * u + y * y
-    if r1sq < 1e-24:
-        raise SingularPointError(BIGGER_PRIMARY, math.sqrt(r1sq))
-    if r2sq < 1e-24:
-        raise SingularPointError(SMALLER_PRIMARY, math.sqrt(r2sq))
-    r13 = r1sq * math.sqrt(r1sq)
-    r23 = r2sq * math.sqrt(r2sq)
+    yy = y * y
+    root = math.sqrt if type(s) is float and type(yy) is float else np.sqrt
+    if order == 0:
+        r2 = root(u * u + yy)
+        val = 0.5 * p.n2 * (x * x + yy) + (1.0 - p.mu) * p.q1 / root(s * s + yy)
+        val += p.mu / r2
+        val += 0.5 * p.mu * p.a2 / (r2 * r2 * r2)
+        if p.mb:
+            val += p.mb / root(x * x + yy + p.t_belt**2)
+        return val
+    r1sq = s * s + yy
+    r2sq = u * u + yy
+    r13 = r1sq * root(r1sq)
+    r23 = r2sq * root(r2sq)
     r25 = r23 * r2sq
     a = (1.0 - p.mu) * p.q1 / r13
     b = p.mu / r23
@@ -332,13 +171,86 @@ def grad_scalar(p: SystemParams, x: float, y: float) -> tuple[float, float]:
     gx = p.n2 * x - a * s - b * u - c * u
     gy = p.n2 * y - a * y - b * y - c * y
     if p.mb:
-        w = x * x + y * y + p.t_belt**2
-        if w == 0.0:
-            raise SingularPointError("belt centre (origin with t_belt = 0)", 0.0)
-        bw = p.mb / (w * math.sqrt(w))
-        gx -= bw * x
-        gy -= bw * y
-    return gx, gy
+        w = x * x + yy + p.t_belt**2
+        bw = p.mb / (w * root(w))
+        gx = gx - bw * x
+        gy = gy - bw * y
+    if order == 1:
+        return gx, gy
+    # each pull -c d of the gradient (d the offset from its centre, c =
+    # k / r^m with m = 3 or 5) adds c (m d d^T / r^2 - I) to the Hessian;
+    # the belt's has w = r^2 + T^2 for r^2 and m = 3
+    a3 = 3.0 * a / r1sq
+    b3 = 3.0 * b / r2sq
+    c5 = 5.0 * c / r2sq
+    oxx = p.n2 - a + a3 * s * s - b + b3 * u * u - c + c5 * u * u
+    oyy = p.n2 - a + a3 * yy - b + b3 * yy - c + c5 * yy
+    oxy = (a3 * s + (b3 + c5) * u) * y
+    if p.mb:
+        bw3 = 3.0 * bw / w
+        oxx = oxx - bw + bw3 * x * x
+        oyy = oyy - bw + bw3 * yy
+        oxy = oxy + bw3 * x * y
+    return (gx, gy), (oxx, oxy, oyy)
+
+
+_SINGULAR_SQ = SINGULARITY_RADIUS**2
+
+
+def check_regular(p: SystemParams, x, y) -> None:
+    """Raise SingularPointError, naming the primary, if a point of (x, y)
+    (floats or arrays) lies within SINGULARITY_RADIUS of a primary, or, for
+    a belt (mb > 0) thinner than THIN_BELT, so near the origin that w^{3/2}
+    underflows to 0."""
+    s = x + p.mu
+    u = s - 1.0
+    yy = y * y
+    d1 = s * s + yy
+    d2 = u * u + yy
+    if type(d1) is not float:  # arrays: the nearest point decides
+        d1 = np.min(d1, initial=math.inf)
+        d2 = np.min(d2, initial=math.inf)
+    if d1 < _SINGULAR_SQ:
+        raise SingularPointError(BIGGER_PRIMARY, math.sqrt(d1))
+    if d2 < _SINGULAR_SQ:
+        raise SingularPointError(SMALLER_PRIMARY, math.sqrt(d2))
+    if p.mb > 0.0 and p.t_belt < THIN_BELT:
+        w = np.min(x * x + yy, initial=math.inf) + p.t_belt**2
+        if w * math.sqrt(w) == 0.0:
+            raise SingularPointError(BELT_CENTRE, math.sqrt(w))
+
+
+def _operands(x, y):
+    """(x, y) as the kernel takes them: plain floats for a scalar of any
+    type, float arrays for anything else."""
+    if type(x) is float and type(y) is float:
+        return x, y
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim == 0 and y.ndim == 0:
+        return float(x), float(y)
+    return x, y
+
+
+def omega(p: SystemParams, x, y):
+    """Effective potential Omega(x, y)."""
+    x, y = _operands(x, y)
+    check_regular(p, x, y)
+    return kernel(p, x, y, 0)
+
+
+def omega_grad(p: SystemParams, x, y):
+    """Exact partial derivatives (Omega_x, Omega_y)."""
+    x, y = _operands(x, y)
+    check_regular(p, x, y)
+    return kernel(p, x, y, 1)
+
+
+def omega_hessian(p: SystemParams, x, y):
+    """Second derivatives (Omega_xx, Omega_xy, Omega_yy); symmetric by construction."""
+    x, y = _operands(x, y)
+    check_regular(p, x, y)
+    return kernel(p, x, y, 2)[1]
 
 
 def force_scale(p: SystemParams, x: float, y: float) -> float:
@@ -377,15 +289,5 @@ def omega_grid(p: SystemParams, x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    r1 = np.hypot(x + p.mu, y)
-    r2 = np.hypot(x + p.mu - 1.0, y)
-    w = x * x + y * y + p.t_belt**2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        val = (
-            p.n2 * (x * x + y * y)
-            + 2.0 * (1.0 - p.mu) * p.q1 / r1
-            + 2.0 * p.mu / r2
-            + p.mu * p.a2 / r2**3
-            + (2.0 * p.mb / np.sqrt(w) if p.mb else 0.0)
-        )
-    return val
+        return 2.0 * kernel(p, x, y, 0)

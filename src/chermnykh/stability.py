@@ -34,7 +34,6 @@ from .equilibria import (
     EquilibriumPoint,
     find_triangular,
     require_refined,
-    triangular_analytic,
 )
 from .errors import (
     ConvergenceError,
@@ -42,13 +41,10 @@ from .errors import (
     NoResonanceError,
     NoTriangularPointsError,
     NumericalError,
-    SingularPointError,
 )
 from .model import (
-    BIGGER_PRIMARY,
-    SINGULARITY_RADIUS,
-    SMALLER_PRIMARY,
     SystemParams,
+    check_regular,
     omega_hessian,
 )
 
@@ -58,10 +54,6 @@ UNSTABLE_QUARTET = "Unstable-ComplexQuartet"
 MARGINAL_RESONANT = "Marginal-Resonant"
 
 RESONANCE_TOL = 1e-9
-
-# Linear critical-mass series, published constants: mu_k = c0 + cA*a2 +
-# ceps*(1 - q1) + cM*mb for k = 1, 2, 3.
-_LINEAR_SERIES = LINEAR_SERIES
 
 
 @dataclass(frozen=True)
@@ -270,15 +262,10 @@ def collinear_f_star(p: SystemParams, x):
     """Published axis profile f(x) whose f > 1 excess signals instability
     of the collinear points.  Accepts scalars or arrays."""
     x = np.asarray(x, dtype=float)
+    check_regular(p, x, 0.0)
     s = np.abs(x + p.mu)
     u = np.abs(x + p.mu - 1.0)
-    if np.any(s < SINGULARITY_RADIUS):
-        raise SingularPointError(BIGGER_PRIMARY, float(np.min(s)))
-    if np.any(u < SINGULARITY_RADIUS):
-        raise SingularPointError(SMALLER_PRIMARY, float(np.min(u)))
     w = x * x + p.t_belt**2
-    if p.mb > 0.0 and np.any(w == 0.0):
-        raise SingularPointError("belt centre (origin with t_belt = 0)", 0.0)
     val = (
         (1.0 - p.mu) * p.q1 / s**3
         + (p.mu / u**3) * (1.0 + 1.5 * p.a2 / u**2)
@@ -319,32 +306,23 @@ def classical_resonance_mu(k: int) -> float:
     return 0.5 * (1.0 - math.sqrt(1.0 - 16.0 * K / 27.0))
 
 
-def critical_mass_exact(
-    base: SystemParams, k: int, point_source: str = "refined"
-) -> float:
+def critical_mass_exact(base: SystemParams, k: int) -> float:
     """Critical mass ratio of the k:1 resonance from the closed expression
 
         mu_k = (3g + 2K b1 b2 - sqrt(g) sqrt(9g - 4K b1^2 + 12K b1 b2))
                / (6 (g + K b2^2)),
 
     iterated to a fixed point in mu because the g bracket depends on the
-    triangular point's position.  The published radical carries 12 b1 b2;
-    the K factor restored here is required for the classical limit to
-    reduce to the closed classical value.  base's own mu is ignored.
-
-    point_source selects where g is evaluated: the Newton-refined point
-    ("refined", default) or the closed-form seed ("analytic").
+    triangular point's position, evaluated at the Newton-refined point.
+    The published radical carries 12 b1 b2; the K factor restored here is
+    required for the classical limit to reduce to the closed classical
+    value.  base's own mu is ignored.
     """
-    if point_source not in ("refined", "analytic"):
-        raise DomainError(f"unknown point_source {point_source!r}")
     K, b1, b2 = resonance_terms(base, k)
     mu = 0.5 * (1.0 - math.sqrt(1.0 - 16.0 * K / 27.0))
     for _ in range(100):
         stage = replace(base, mu=mu)
-        if point_source == "refined":
-            point, _ = find_triangular(stage)
-        else:
-            point, _ = triangular_analytic(stage)
+        point, _ = find_triangular(stage)
         g = _g_resonance(stage, point)
         rad = 9.0 * g - 4.0 * K * b1 * b1 + 12.0 * K * b1 * b2
         if g <= 0.0 or rad < 0.0:
@@ -433,7 +411,7 @@ def stability_flip(base: SystemParams) -> float:
 def critical_mass_linear(a2: float, eps: float, mb: float, k: int) -> float:
     """Published linear-in-perturbation critical mass series, k in {1,2,3};
     eps = 1 - q1."""
-    if k not in _LINEAR_SERIES:
+    if k not in LINEAR_SERIES:
         raise DomainError(f"linear series published only for k in {{1,2,3}}, got {k!r}")
     if abs(eps) > 0.25:
         warnings.warn(
@@ -441,7 +419,7 @@ def critical_mass_linear(a2: float, eps: float, mb: float, k: int) -> float:
             UserWarning,
             stacklevel=2,
         )
-    c0, ca, ce, cm = _LINEAR_SERIES[k]
+    c0, ca, ce, cm = LINEAR_SERIES[k]
     return c0 + ca * a2 + ce * eps + cm * mb
 
 

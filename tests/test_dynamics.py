@@ -24,7 +24,7 @@ from chermnykh.dynamics import (
 )
 from chermnykh.equilibria import EquilibriumPoint, find_collinear, find_triangular
 from chermnykh.errors import DomainError, IntegrationError
-from chermnykh.model import RotState, SystemParams, jacobi_constant, omega_grid
+from chermnykh.model import RotState, SystemParams, jacobi_constant, omega_grad, omega_grid
 
 from conftest import CLASSICAL, L4_X, L4_Y
 
@@ -57,10 +57,6 @@ class TestIntegrateBasics:
     def test_state_length_checked(self):
         with pytest.raises(DomainError):
             integrate(CLASSICAL, (0.5, 0.5, 0.0), 1.0)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(DomainError):
-            integrate(CLASSICAL, (0.5, 0.5, 0.0, 0.0), 1.0, method="euler")
 
     def test_accepts_rotstate_and_tuple(self):
         a = integrate(CLASSICAL, RotState(0.5, 0.5), 1.0, tol=1e-10)
@@ -257,63 +253,52 @@ class TestFailureModes:
             integrate(p, (1 - p.mu, 0.0, 0.0, 0.0), 1.0)
 
     def test_runaway_state_raises_with_last_good_state(self):
-        with np.errstate(all="ignore"):
-            with pytest.raises(IntegrationError) as exc:
-                integrate(
-                    CLASSICAL,
-                    (0.976, 0.0, 0.0, 0.0),
-                    2000.0,
-                    method="rk4",
-                    fixed_step=10.0,
-                )
+        # so far out gravity is nil: the state moves on a straight inertial
+        # line, and its rotating-frame speed grows with t until its square
+        # in the Jacobi check overflows, at t ~ 13.9
+        with pytest.raises(IntegrationError) as exc:
+            integrate(CLASSICAL, (1e153, 0.0, 0.0, 0.0), 2000.0)
         err = exc.value
         assert isinstance(err.last_state, RotState)
-        assert err.last_time > 0.0
+        assert 10.0 < err.last_time < 20.0
 
 
-class TestFixedStepDebugMode:
+def rk4_final(p, s0, t_end, h):
+    """Fixed-step classical Runge-Kutta, a reference apart from the
+    program's DP5(4): the state at t_end."""
+    two_n = 2.0 * p.n
+
+    def rhs(s):
+        gx, gy = omega_grad(p, s[0], s[1])
+        return np.array([s[2], s[3], two_n * s[3] + gx, -two_n * s[2] + gy])
+
+    s = np.array(s0, dtype=float)
+    for _ in range(round(t_end / h)):
+        k1 = rhs(s)
+        k2 = rhs(s + 0.5 * h * k1)
+        k3 = rhs(s + 0.5 * h * k2)
+        k4 = rhs(s + h * k3)
+        s = s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return s
+
+
+class TestConvergence:
     def test_rk4_agrees_with_adaptive(self):
         pt = l4()
         s0 = (pt.x + 1e-3, pt.y, 0.0, 0.005)
         a = integrate(CLASSICAL, s0, 5.0, tol=1e-12)
-        b = integrate(CLASSICAL, s0, 5.0, method="rk4", fixed_step=1e-3)
-        assert math.hypot(a.final.x - b.final.x, a.final.y - b.final.y) <= 1e-9
+        b = rk4_final(CLASSICAL, s0, 5.0, 1e-3)
+        assert math.hypot(a.final.x - b[0], a.final.y - b[1]) <= 1e-9
 
-    def test_rk4_drift_shrinks_with_step(self):
-        # steps large enough that truncation dominates rounding
+    def test_drift_shrinks_with_tol(self):
+        # tolerances loose enough that truncation dominates rounding: each
+        # decade of tol gains about a decade of drift
         pt = l4()
         s0 = (pt.x + 0.01, pt.y, 0.0, 0.01)
-        d1 = integrate(CLASSICAL, s0, 10.0, method="rk4", fixed_step=0.2).max_drift
-        d2 = integrate(CLASSICAL, s0, 10.0, method="rk4", fixed_step=0.1).max_drift
-        # classical fourth order: halving the step gains about 16x
-        assert d2 < d1 / 8.0
-
-    def test_fixed_step_validated(self):
-        with pytest.raises(DomainError):
-            integrate(CLASSICAL, (0.5, 0.5, 0.0, 0.0), 1.0, method="rk4", fixed_step=0.0)
-
-
-def test_scalar_gradient_matches_model():
-    # the plain-float gradient of the integrator and the axis polish must
-    # agree with the array path
-    from chermnykh.model import grad_scalar, omega_grad
-
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        p = SystemParams(
-            mu=float(rng.uniform(0.01, 0.5)),
-            q1=float(rng.uniform(0.1, 1.0)),
-            a2=float(rng.uniform(0.0, 0.05)),
-            mb=float(rng.uniform(0.0, 0.6)),
-        )
-        x = float(rng.uniform(-2.0, 2.0))
-        y = float(rng.uniform(-2.0, 2.0))
-        if math.hypot(x + p.mu, y) < 1e-3 or math.hypot(x + p.mu - 1.0, y) < 1e-3:
-            continue
-        gx, gy = grad_scalar(p, x, y)
-        ax, ay = omega_grad(p, x, y)
-        assert gx == pytest.approx(ax, rel=1e-14, abs=1e-14)
-        assert gy == pytest.approx(ay, rel=1e-14, abs=1e-14)
+        drifts = [
+            integrate(CLASSICAL, s0, 10.0, tol=10.0**-k).max_drift for k in range(6, 12)
+        ]
+        assert all(b < a / 5.0 for a, b in zip(drifts, drifts[1:]))
 
 
 def polyline_winds_around(line, px, py):

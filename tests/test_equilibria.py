@@ -21,7 +21,6 @@ from chermnykh.equilibria import (
     find_all,
     find_collinear,
     find_triangular,
-    inner_point_condition,
     refine_equilibrium,
     scan_collinear,
     triangular_analytic,
@@ -125,14 +124,6 @@ class TestFindCollinear:
         assert knee < k["Xb2"].x < k["Xb1"].x < 0.0
         for e in pts:
             assert refine_equilibrium(p, (e.x, e.y)).kind == e.kind
-
-    def test_inner_pair_condition(self):
-        narrow, f_knee = inner_point_condition(CLASSICAL)
-        assert narrow  # t_belt = 0.01 < sqrt(2) * 0.025
-        assert f_knee < 0  # no belt, no split
-        narrow_b, f_knee_b = inner_point_condition(STRONG_BELT)
-        assert narrow_b
-        assert f_knee_b > 0  # belt pushes the force positive at the knee
 
     def test_scan_record(self, classical):
         scan = scan_collinear(classical)

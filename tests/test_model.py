@@ -5,22 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import legacy_model
+from chermnykh.equilibria import collinear_f
 from chermnykh.errors import DomainError, SingularPointError
 from chermnykh.model import (
-    BeltProfile,
-    RadiationInput,
+    BELT_CENTRE,
+    BIGGER_PRIMARY,
+    SMALLER_PRIMARY,
     RotState,
     SystemParams,
-    belt_density,
-    belt_potential,
     jacobi_constant,
-    mean_motion,
+    kernel,
     omega,
     omega_grad,
     omega_grid,
     omega_hessian,
-    q1_from_particle,
 )
+from chermnykh.stability import collinear_f_star
 
 from conftest import CLASSICAL, L4_X, L4_Y
 
@@ -55,6 +56,12 @@ def test_nonpositive_q1_admitted_with_warning():
         SystemParams(q1=-0.2)
 
 
+def test_nonpositive_q1_warning_points_at_the_caller():
+    with pytest.warns(UserWarning, match="radiation pressure") as caught:
+        SystemParams(q1=0.0)
+    assert caught[0].filename == __file__
+
+
 def test_params_frozen_and_comparable():
     p = SystemParams()
     with pytest.raises(AttributeError):
@@ -67,7 +74,7 @@ def test_params_frozen_and_comparable():
 
 
 def test_mean_motion_unperturbed():
-    assert mean_motion(SystemParams(a2=0.0, mb=0.0)) == 1.0
+    assert SystemParams(a2=0.0, mb=0.0).n == 1.0
 
 
 def test_mean_motion_oblateness_only():
@@ -79,7 +86,7 @@ def test_mean_motion_belt():
     # n^2 = 1 + 2 * 0.2 * 0.8 / (0.8^2 + 0.01^2)^{3/2}
     p = SystemParams(a2=0.0, mb=0.2, rc=0.8, t_belt=0.01)
     assert p.n2 == pytest.approx(1.624854, abs=1e-6)
-    assert mean_motion(p) == pytest.approx(math.sqrt(p.n2))
+    assert p.n == pytest.approx(math.sqrt(1.624854), abs=1e-6)
 
 
 def test_mean_motion_cached_value_matches_formula():
@@ -87,75 +94,6 @@ def test_mean_motion_cached_value_matches_formula():
     expect = 1.0 + 1.5 * 0.04 + 2.0 * 0.6 * 0.8 / (0.8**2 + 0.01**2) ** 1.5
     assert p.n2 == pytest.approx(expect, rel=1e-15)
     assert p.n2 == pytest.approx(2.934561, abs=1e-6)
-
-
-# --- radiation factor -------------------------------------------------------
-
-
-def test_q1_no_radiation():
-    assert q1_from_particle(RadiationInput(1.0, 1.0, 0.0)) == 1.0
-
-
-def test_q1_substitution():
-    r = RadiationInput(particle_radius=5.6e-4, particle_density=1.0, chi=1.0)
-    assert q1_from_particle(r) == pytest.approx(0.9, abs=1e-12)
-
-
-def test_q1_boundary_warns():
-    r = RadiationInput(particle_radius=5.6e-5, particle_density=1.0, chi=1.0)
-    with pytest.warns(UserWarning, match="radiation pressure"):
-        assert q1_from_particle(r) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_radiation_input_validation():
-    with pytest.raises(DomainError):
-        RadiationInput(0.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        RadiationInput(1.0, -1.0, 1.0)
-    with pytest.raises(DomainError):
-        RadiationInput(1.0, 1.0, -0.5)
-
-
-# --- belt potential and density --------------------------------------------
-
-
-def test_belt_potential_point_mass():
-    assert belt_potential(BeltProfile(1.0, 0.0, 0.0), r=1.0, z=0.0) == -1.0
-
-
-def test_belt_potential_plane_reduction():
-    prof = BeltProfile(mb=0.4, a_flat=0.003, b_core=0.007)
-    t = prof.t_belt
-    for r in (0.1, 0.8, 2.0):
-        assert belt_potential(prof, r, 0.0) == pytest.approx(
-            -0.4 / math.sqrt(r * r + t * t), rel=1e-15
-        )
-
-
-def test_belt_potential_zero_mass():
-    assert belt_potential(BeltProfile(0.0, 0.0, 0.0), 0.0, 0.0) == 0.0
-
-
-def test_belt_potential_singular_origin():
-    with pytest.raises(SingularPointError):
-        belt_potential(BeltProfile(1.0, 0.0, 0.0), 0.0, 0.0)
-
-
-def test_belt_density_core_value():
-    # a = 0, r = 0, z = 0 collapses to 3 mb / b^3
-    prof = BeltProfile(mb=0.2, a_flat=0.0, b_core=0.05)
-    assert belt_density(prof, 0.0, 0.0) == pytest.approx(3 * 0.2 / 0.05**3, rel=1e-12)
-
-
-def test_belt_density_zero_mass_and_core_guard():
-    assert belt_density(BeltProfile(0.0, 0.1, 0.1), 0.5, 0.0) == 0.0
-    with pytest.raises(DomainError):
-        belt_density(BeltProfile(1.0, 0.1, 0.0), 0.5, 0.0)
-
-
-def test_belt_density_finite_positive():
-    val = belt_density(BeltProfile(1.0, 0.05, 0.05), 0.5, 0.1)
-    assert math.isfinite(val) and val > 0.0
 
 
 # --- effective potential ----------------------------------------------------
@@ -227,6 +165,138 @@ def test_omega_grid_tolerates_singular_nodes(classical):
     assert vals.shape == xs.shape
     interior = np.isfinite(vals)
     assert interior.sum() >= vals.size - 4
+
+
+# --- one kernel for floats and arrays ---------------------------------------
+
+
+def _random_params(rng):
+    """A draw from the whole parameter box, mu and T log-uniform."""
+    return SystemParams(
+        mu=float(10 ** rng.uniform(-6.0, math.log10(0.5))),
+        q1=float(rng.uniform(0.0, 1.0)),
+        a2=float(rng.uniform(0.0, 0.1)),
+        mb=float(rng.uniform(0.0, 1.5)),
+        t_belt=float(10 ** rng.uniform(-6.0, math.log10(0.5))),
+        rc=float(rng.uniform(0.5, 1.2)),
+    )
+
+
+def _random_points(rng, p, n):
+    """n points over [-3, 3]^2; a quarter each lie about 1e-3 from one
+    primary, and a quarter in the belt core."""
+    x = rng.uniform(-3.0, 3.0, n)
+    y = rng.uniform(-3.0, 3.0, n)
+    q = n // 4
+    x[:q] = -p.mu + rng.normal(0.0, 1e-3, q)
+    x[q : 2 * q] = 1.0 - p.mu + rng.normal(0.0, 1e-3, q)
+    y[: 2 * q] = rng.normal(0.0, 1e-3, 2 * q)
+    x[2 * q : 3 * q] = rng.normal(0.0, 2.0 * p.t_belt, q)
+    y[2 * q : 3 * q] = rng.normal(0.0, 2.0 * p.t_belt, q)
+    return x, y
+
+
+def _term_scales(p, x, y):
+    """Sums of the magnitudes of the terms of Omega, of grad Omega and of
+    the Hessian at (x, y): the sizes that rounding scales with.  Near an
+    equilibrium the gradient itself cancels to 0, so error is measured
+    against these."""
+    r1 = np.hypot(x + p.mu, y)
+    r2 = np.hypot(x + p.mu - 1.0, y)
+    r = np.hypot(x, y)
+    w = r * r + p.t_belt**2
+    big, obl = (1.0 - p.mu) * abs(p.q1), 1.5 * p.mu * p.a2
+    return (
+        0.5 * p.n2 * r * r + big / r1 + p.mu / r2 + obl / (3.0 * r2**3) + p.mb / np.sqrt(w),
+        p.n2 * r + big / r1**2 + p.mu / r2**2 + obl / r2**4 + p.mb * r / w**1.5,
+        p.n2 + 3.0 * big / r1**3 + 3.0 * p.mu / r2**3 + 5.0 * obl / r2**5 + 3.0 * p.mb / w**1.5,
+    )
+
+
+def _orders(p, x, y):
+    """Omega, its gradient and its Hessian from the kernel, as one tuple."""
+    return (kernel(p, x, y, 0), *kernel(p, x, y, 1), *kernel(p, x, y, 2)[1])
+
+
+def _legacy_orders(p, x, y):
+    return (
+        legacy_model.omega(p, x, y),
+        *legacy_model.omega_grad(p, x, y),
+        *legacy_model.omega_hessian(p, x, y),
+    )
+
+
+def test_kernel_matches_the_formulas_it_replaced():
+    # tests/legacy_model.py holds the former omega, omega_grad and
+    # omega_hessian; the kernel must agree to 1e-13 of the terms' size
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        p = _random_params(rng)
+        x, y = _random_points(rng, p, 40)
+        scales = _term_scales(p, x, y)
+        scale = [scales[0], scales[1], scales[1]] + [scales[2]] * 3
+        for new, old, sc in zip(_orders(p, x, y), _legacy_orders(p, x, y), scale):
+            assert np.all(np.abs(new - old) <= 1e-13 * sc)
+        for i in range(0, 40, 5):
+            xi, yi = float(x[i]), float(y[i])
+            for new, old, sc in zip(_orders(p, xi, yi), _legacy_orders(p, xi, yi), scale):
+                assert abs(new - old) <= 1e-13 * sc[i]
+
+
+def test_a_float_and_the_same_point_in_an_array_agree_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        p = _random_params(rng)
+        x, y = _random_points(rng, p, 16)
+        arrays = _orders(p, x, y)
+        for i in range(16):
+            floats = _orders(p, float(x[i]), float(y[i]))
+            assert all(type(v) is float for v in floats)
+            in_array = np.array([float(a[i]) for a in arrays])
+            assert np.array(floats).tobytes() == in_array.tobytes()
+
+
+def test_guarded_names_return_plain_floats_for_any_scalar():
+    p = SystemParams(mu=0.1, q1=0.8, a2=0.01, mb=0.2)
+    for x, y in ((0.3, 0.4), (0, 1), (np.float64(0.3), np.array(0.4))):
+        values = (omega(p, x, y), *omega_grad(p, x, y), *omega_hessian(p, x, y))
+        assert all(type(v) is float for v in values)
+        assert values == _orders(p, float(x), float(y))
+
+
+GUARDED = {
+    "omega": omega,
+    "omega_grad": omega_grad,
+    "omega_hessian": omega_hessian,
+    "collinear_f": lambda p, x, y: collinear_f(p, x),
+    "collinear_f_star": lambda p, x, y: collinear_f_star(p, x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_every_guarded_name_raises_the_same_error(name):
+    f = GUARDED[name]
+    p = SystemParams(mu=0.1, q1=0.8, a2=0.01, mb=0.2)
+    point_belt = SystemParams(mu=0.1, mb=0.2, t_belt=0.0)
+    # at T = 1e-120 the pull's denominator w^{3/2} underflows at the origin
+    thin_belt = SystemParams(mu=0.1, mb=0.2, t_belt=1e-120)
+    cases = [
+        (p, -p.mu, BIGGER_PRIMARY),
+        (p, -p.mu + 3e-13, BIGGER_PRIMARY),
+        (p, 1.0 - p.mu, SMALLER_PRIMARY),
+        (p, 1.0 - p.mu - 3e-13, SMALLER_PRIMARY),
+        (point_belt, 0.0, BELT_CENTRE),
+        (thin_belt, 0.0, BELT_CENTRE),
+        (thin_belt, 1e-110, BELT_CENTRE),
+    ]
+    for q, x0, primary in cases:
+        messages = []
+        for x in (x0, np.array([0.3, x0, -1.5])):
+            with pytest.raises(SingularPointError) as exc:
+                f(q, x, 0.0 * x)
+            assert exc.value.primary == primary
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
 
 
 # --- Jacobi constant --------------------------------------------------------

@@ -271,16 +271,9 @@ class TestCriticalMassExact:
         mus = [critical_mass_exact(classical, k) for k in range(1, 6)]
         assert all(a > b for a, b in zip(mus, mus[1:]))
 
-    def test_point_source_analytic_close(self, classical):
-        a = critical_mass_exact(classical, 1, point_source="analytic")
-        r = critical_mass_exact(classical, 1, point_source="refined")
-        assert a == pytest.approx(r, abs=1e-10)  # identical without belt
-
     def test_rejects_bad_k(self, classical):
         with pytest.raises(DomainError):
             critical_mass_exact(classical, 0)
-        with pytest.raises(DomainError):
-            critical_mass_exact(classical, 1, point_source="closed")
 
     def test_resonance_terms_values(self, classical):
         K, b1, b2 = resonance_terms(classical, 1)
