@@ -115,7 +115,6 @@ class RunConfig:
     tol: float = 1e-10
     out: str | None = None
     format: str | None = None
-    samples: int = 20000
     jobs: int = 1
     k_orders: tuple[int, ...] = (1, 2, 3, 4, 5)
     c_level: float = 3.5
@@ -197,7 +196,7 @@ _FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
 _COERCERS = {
     "mu": float, "q1": float, "a2": float, "mb": float, "t_belt": float,
     "rc": float, "tol": float, "out": str, "format": str,
-    "samples": int, "jobs": int,
+    "jobs": int,
     "k_orders": _parse_orders, "c_level": float, "grid": int,
     "xmin": float, "xmax": float, "ymin": float, "ymax": float,
     "x0": float, "y0": float, "vx0": float, "vy0": float, "tend": float,
@@ -270,11 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equilibria", help="locate and list equilibrium points")
     common(p)
-    p.add_argument("--samples", type=int)
 
     p = sub.add_parser("stability", help="characteristic coefficients and classification per point")
     common(p)
-    p.add_argument("--samples", type=int)
 
     p = sub.add_parser("zvc", help="zero-velocity curves at a Jacobi constant")
     common(p)
@@ -303,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="parameter sweep with per-point stability summary")
     common(p)
-    p.add_argument("--samples", type=int)
     p.add_argument("--jobs", type=int)
     p.add_argument("--sweep-mu", dest="sweep_mu")
     p.add_argument("--sweep-q1", dest="sweep_q1")
@@ -491,7 +487,7 @@ def _reproduce_critical_masses() -> TableArtifact:
 
 
 def _cmd_equilibria(cfg: RunConfig):
-    points = find_all(cfg.params(), cfg.samples)
+    points = find_all(cfg.params())
     columns = ("kind", "x", "y", "r1", "r2", "residual")
     rows = [(e.kind, e.x, e.y, e.r1, e.r2, e.residual) for e in points]
     return columns, rows, None, f"{len(rows)} equilibrium points"
@@ -499,7 +495,7 @@ def _cmd_equilibria(cfg: RunConfig):
 
 def _cmd_stability(cfg: RunConfig):
     p = cfg.params()
-    points = find_all(p, cfg.samples)
+    points = find_all(p)
     columns = (
         "kind", "x", "y", "b", "d",
         "omega1", "omega2", "classification", "resonance_k",
@@ -575,7 +571,7 @@ def _cmd_tables(cfg: RunConfig):
 
 def _sweep_point(task):
     """One sweep row; module-level so worker processes can unpickle it."""
-    mu, q1, a2, mb, t_belt, rc, samples = task
+    mu, q1, a2, mb, t_belt, rc = task
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         row = {"mu": mu, "q1": q1, "a2": a2, "mb": mb}
@@ -587,7 +583,7 @@ def _sweep_point(task):
         axis_x = {}
         points = []
         try:
-            points = find_all(p, samples)
+            points = find_all(p)
             for e in points:
                 if e.is_collinear:
                     axis_x[e.kind] = e.x
@@ -655,7 +651,7 @@ def _cmd_sweep(cfg: RunConfig):
             f"sweep would cover {total} points; the limit is {MAX_SWEEP_CELLS}"
         )
     tasks = [
-        (mu, q1, a2, mb, cfg.t_belt, cfg.rc, cfg.samples)
+        (mu, q1, a2, mb, cfg.t_belt, cfg.rc)
         for mu in axes[0]
         for q1 in axes[1]
         for a2 in axes[2]

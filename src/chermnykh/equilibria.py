@@ -7,28 +7,34 @@ the primaries, and right of the smaller one.  Its derivative is
     f'(x) = Omega_xx(x, 0) = n^2 + 2 (1 - mu) q1 / |s|^3 + 2 mu / |u|^3
             + 6 mu A2 / |u|^5 + M_b (2 x^2 - T^2) / (x^2 + T^2)^{5/2}
 
-with s = x + mu and u = x + mu - 1.  For q1 >= 0 only the belt term can be
-negative, and only in the belt core |x| < T/sqrt(2).  Each interval is cut
-into pieces at the ends of the dense sampling grids (the origin and the
-belt knee -T/sqrt(2)); with a belt, the core is cut into CORE_CHUNKS
-chunks a side.  On a piece [a, b] a lower bound of f' costs O(1): every
-primary term at the end where it is smallest, and the belt term at the end
-of the |x| range where it is smallest (it rises with |x| up to
-T sqrt(3/2) and falls beyond).  A piece whose bound is positive is
-monotone: it holds at most one root, and the signs of f at its two ends
-decide it.  The other pieces (the core where the belt wins and, for
-q1 < 0, the pieces next to the bigger primary) keep every point of the
-dense grids: ``samples`` points per interval, and
-max(samples, MIN_INNER_SAMPLES) on each side of the knee in (-mu, 0).  So
-the scan sees every sign change that sampling those grids in full would.
-All abscissae of one parameter set go through one collinear_f call, and
-each sign change is polished by Brent's method on ``model.omega_grad``,
-which runs the force kernel on plain floats.  Newton refinement, the
-residuals and the labels use the same kernel.
+with s = x + mu and u = x + mu - 1.  On a piece [a, b], fprime_bounds
+gives a floor and a ceiling of f' in O(1) (Moore-style interval bounds):
+each primary term at its far or near end, and the belt term at the ends
+of the |x| range or at T sqrt(3/2), where it peaks.  A piece whose floor
+is positive or whose ceiling is negative is monotone: it holds at most one
+root, and the signs of f at its two ends decide it.
 
-A sufficiently massive, sufficiently concentrated belt adds an inner
-saddle/centre pair (Xb2, Xb1) between the bigger primary and the
-barycentre; otherwise only L1, L2, L3 exist on the axis.
+scan_collinear starts from the free intervals cut at the origin and at the
+belt knee -T/sqrt(2).  It splits each piece that neither bound certifies
+into SPLIT equal parts, a whole level of pieces per numpy call, until
+every piece is monotone or is a fold piece: one where f' may change sign,
+narrower than FOLD_WIDTH of T and of its distance to the nearer primary.
+Across a fold piece f stays within (1/2) max|f''| width^2 of its value at
+any point, about 1e-18 of the largest force term there and so below the
+rounding of f; its midpoint stands for the extremum, and the signs of f
+at its ends and midpoint decide whether it holds no root, one or a pair.
+The count is therefore exact to rounding.  f is evaluated at all piece
+ends and fold midpoints in one call, and Brent's method polishes each sign
+change on ``model.omega_grad``, which runs the force kernel on plain
+floats.  Newton refinement, the residuals and the labels use the same
+kernel.
+
+Labels follow the crossing direction (_axis_labels).  For q1 > 0, f runs
+from -inf to +inf across each free interval, so the outer ones hold L3
+and L2, and the middle one holds L1 alone or three roots crossing up,
+down and up: Xb2, Xb1 and L1.  A sufficiently massive, sufficiently
+concentrated belt adds that saddle/centre pair (Xb2, Xb1).  For q1 <= 0
+the bigger primary has no attracting pole, and no labelling exists.
 
 The triangular pair is seeded from closed-form radii and finished with a
 2-D Newton iteration on the full gradient; where the seed does not exist
@@ -48,11 +54,12 @@ from .errors import (
     ConvergenceError,
     DomainError,
     NoTriangularPointsError,
+    NumericalError,
     ScanError,
 )
 from .model import (
+    THIN_BELT,
     SystemParams,
-    check_regular,
     force_scale,
     omega_grad,
     omega_hessian,
@@ -61,12 +68,13 @@ from .model import (
 # Scan geometry defaults.
 X_MAX = 5.0
 PRIMARY_GAP = 1e-9  # keep-out half-width around each primary abscissa
-MIN_INNER_SAMPLES = 20000
-CORE_CHUNKS = 8  # pieces per side of the belt core |x| < T/sqrt(2)
+SPLIT = 16  # subpieces of each piece the Omega_xx bounds leave open
+FOLD_WIDTH = 1e-9  # fold pieces are narrower than this fraction of their scale
 
 # A refined equilibrium's gradient residual is at most this fraction of the
 # largest force term at the point (see require_refined).
 RESIDUAL_TOL = 1e-12
+_EPS = sys.float_info.epsilon
 
 COLLINEAR_KINDS = ("L1", "L2", "L3", "Xb1", "Xb2")
 TRIANGULAR_KINDS = ("L4", "L5")
@@ -95,10 +103,10 @@ class EquilibriumPoint:
 
 @dataclass(frozen=True)
 class CollinearScan:
-    """Record of one axis scan: the intervals searched, the per-interval
-    sample counts, and the sign-change brackets found (disjoint, one root
-    each).  A certified monotone piece is an interval of two samples, its
-    ends; a sampled stretch has at least three."""
+    """Record of one axis scan: the pieces it ends with, in axis order; the
+    f evaluations per piece, 2 (its ends) for a monotone piece and 3 (ends
+    and midpoint) for a fold piece; and the sign-change brackets found
+    (disjoint, one root each)."""
 
     intervals: tuple[tuple[float, float], ...]
     samples: tuple[int, ...]
@@ -107,14 +115,18 @@ class CollinearScan:
 
 def require_refined(p: SystemParams, e: EquilibriumPoint) -> None:
     """Raise DomainError unless e's gradient residual is at most
-    RESIDUAL_TOL of the largest force term at e (or of 1)."""
+    RESIDUAL_TOL of the largest force term at e (or of 1), plus what the
+    force changes over a few ulp of e's coordinates: next to a primary the
+    nearest floats to a root can miss it by more than the first part."""
     if e.residual <= RESIDUAL_TOL:
         return
     scale = max(1.0, force_scale(p, e.x, e.y))
-    if e.residual > RESIDUAL_TOL * scale:
+    ulp_change = 4.0 * _EPS * max(abs(e.x), abs(e.y)) * max(map(abs, omega_hessian(p, e.x, e.y)))
+    if e.residual > RESIDUAL_TOL * scale + ulp_change:
         raise DomainError(
             f"point residual {e.residual:.3e} exceeds {RESIDUAL_TOL:g} of the "
-            f"largest force term there ({scale:.3e}); refine it first"
+            f"largest force term there ({scale:.3e}) plus its change over 4 ulp "
+            f"of the point ({ulp_change:.3e}); refine it first"
         )
 
 
@@ -126,176 +138,120 @@ def _point(p: SystemParams, kind: str, x: float, y: float) -> EquilibriumPoint:
 
 
 def collinear_f(p: SystemParams, x):
-    """Axis force balance f(x, 0); identical to Omega_x(x, 0).
+    """Axis force balance f(x) = Omega_x(x, 0): the force kernel behind
+    check_regular.  Accepts scalars or arrays."""
+    return omega_grad(p, x, 0.0)[0]
 
-    Written in the sign-resolved piecewise form so either side of each
-    primary uses the correct branch.  Accepts scalars or arrays.
 
-    The axis force is written out here apart from model.kernel on
-    purpose: the scan evaluates it on thousands of abscissae per parameter
-    set, and this y = 0 form needs no square roots.  Sent through the
-    (x, y) kernel at y = 0 instead, scan_collinear took 30-50% longer.
-    The form can go once the scan no longer samples densely.
+def _belt_term(p: SystemParams, r):
+    """M_b (2 r^2 - T^2) / (r^2 + T^2)^{5/2}, the belt's share of f' at
+    |x| = r.  It divides by w = r^2 + T^2 one factor at a time, so it stays
+    finite for every T >= THIN_BELT (w^2 sqrt(w) would underflow below
+    T ~ 1e-65)."""
+    t2 = p.t_belt**2
+    w = r * r + t2
+    return p.mb * ((2.0 * r * r - t2) / w / w / np.sqrt(w))
+
+
+def fprime_bounds(p: SystemParams, a, b):
+    """Lower and upper bounds (floor, ceiling) of f'(x) = Omega_xx(x, 0)
+    over each piece [a, b].
+
+    a and b are floats or arrays with a <= b elementwise, and no piece may
+    hold a primary.  1/|s|^3 and 1/|u|^3 fall with the distance from their
+    primary, so the floor takes each primary term at the end of the piece
+    farther from it and the ceiling at the nearer end (the other way round
+    for the term 2 (1 - mu) q1/|s|^3 when q1 < 0).  The belt term rises with
+    |x| up to T sqrt(3/2) and falls beyond, so on [min |x|, max |x|] it is
+    smallest at one of the two ends and largest at T sqrt(3/2) clipped to
+    the range.
     """
-    x = np.asarray(x, dtype=float)
-    check_regular(p, x, 0.0)
-    s = x + p.mu
-    u = x + p.mu - 1.0
-    w = x * x + p.t_belt**2
-    val = (
-        p.n2 * x
-        - (1.0 - p.mu) * p.q1 * np.sign(s) / (s * s)
-        - p.mu * np.sign(u) / (u * u)
-        - 1.5 * p.mu * p.a2 * np.sign(u) / (u * u * u * u)
-        - (p.mb * x / w**1.5 if p.mb else 0.0)
-    )
-    return float(val) if np.ndim(val) == 0 else val
-
-
-def _belt_shape(t: float, r):
-    """(2 r^2 - T^2) / (r^2 + T^2)^{5/2}, the belt's share of f' per unit
-    mass at |x| = r."""
-    w = r * r + t * t
-    return (2.0 * r * r - t * t) / (w * w * np.sqrt(w))
-
-
-def fprime_floor(p: SystemParams, a, b):
-    """Lower bound of f'(x) = Omega_xx(x, 0) over each piece [a, b].
-
-    a and b are arrays with a < b elementwise, and no piece may hold a
-    primary.  1/|s|^3 and 1/|u|^3 are smallest at the end of a piece
-    farther from their primary (nearer, for the term 2 (1 - mu) q1/|s|^3
-    when q1 < 0).  The belt term rises with |x| up to T sqrt(3/2) and falls
-    beyond, so on [min |x|, max |x|] it is smallest at one of the two.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    s_a, s_b = np.abs(a + p.mu), np.abs(b + p.mu)
-    u_far = np.maximum(np.abs(a + p.mu - 1.0), np.abs(b + p.mu - 1.0))
-    c_big = 2.0 * (1.0 - p.mu) * p.q1
-    s_big = np.maximum(s_a, s_b) if c_big >= 0.0 else np.minimum(s_a, s_b)
-    big = c_big / s_big**3
-    rest = p.n2 + 2.0 * p.mu / u_far**3 + 6.0 * p.mu * p.a2 / u_far**5
-    belt = 0.0
+    ends = np.array((a, b), dtype=float)
+    # rows: the distances the floor takes, then those the ceiling takes
+    s = np.abs(ends + p.mu)
+    u = np.abs(ends + p.mu - 1.0)
+    s.sort(axis=0)
+    u.sort(axis=0)
+    u = u[::-1]
+    if p.q1 >= 0.0:
+        s = s[::-1]
+    big = 2.0 * (1.0 - p.mu) * p.q1 / (s * s * s)
+    small = (2.0 * p.mu + 6.0 * p.mu * p.a2 / (u * u)) / (u * u * u)
+    total = p.n2 + big + small
+    size = p.n2 + np.abs(big) + small
     if p.mb:
-        r_lo = np.where((a < 0.0) & (b > 0.0), 0.0, np.minimum(np.abs(a), np.abs(b)))
-        r_hi = np.maximum(np.abs(a), np.abs(b))
-        t = p.t_belt
-        belt = p.mb * np.minimum(_belt_shape(t, r_lo), _belt_shape(t, r_hi))
-    # less 1e-12 of the terms' magnitudes, which covers the sum's rounding
-    return rest + big + belt - 1e-12 * (rest + np.abs(big) + np.abs(belt))
+        a, b = ends
+        r_lo = np.maximum(np.maximum(a, -b), 0.0)  # 0 if the piece holds the origin
+        r_hi = np.maximum(-a, b)
+        peak = np.minimum(np.maximum(p.t_belt * math.sqrt(1.5), r_lo), r_hi)
+        belt = _belt_term(p, np.array((r_lo, r_hi, peak)))
+        belt = np.array((np.minimum(belt[0], belt[1]), belt[2]))
+        total = total + belt
+        size = size + np.abs(belt)
+    # widened by 1e-12 of the terms' magnitudes, which covers the sum's rounding
+    return total[0] - 1e-12 * size[0], total[1] + 1e-12 * size[1]
 
 
-def _dense_grids(p: SystemParams, samples: int) -> list[tuple[float, float, int]]:
-    """The dense scan's grids (lo, hi, n), np.linspace(lo, hi, n) each:
-    ``samples`` points outside the inner interval (-mu, 0), and
-    max(samples, MIN_INNER_SAMPLES) on each side of the knee inside it."""
-    knee = -p.t_belt / math.sqrt(2.0)
-    inner_n = max(samples, MIN_INNER_SAMPLES)
-    grids = [(-X_MAX, -p.mu - PRIMARY_GAP, samples)]
-    if -p.mu + PRIMARY_GAP < knee < 0.0:
-        grids += [(-p.mu + PRIMARY_GAP, knee, inner_n), (knee, 0.0, inner_n)]
-    else:
-        grids.append((-p.mu + PRIMARY_GAP, 0.0, inner_n))
-    grids.append((0.0, 1.0 - p.mu - PRIMARY_GAP, samples))
-    grids.append((1.0 - p.mu + PRIMARY_GAP, X_MAX, samples))
-    return [g for g in grids if g[0] < g[1]]
-
-
-def _grid_points(grids, a: float, b: float) -> np.ndarray:
-    """The dense grids' points strictly inside (a, b), in order, computed
-    exactly as np.linspace computes them; the midpoint if there are none."""
-    parts = []
-    for lo, hi, n in grids:
-        if hi <= a or lo >= b:
-            continue
-        step = (hi - lo) / (n - 1)
-        i0 = max(0, math.floor((a - lo) / step))
-        i1 = min(n, math.ceil((b - lo) / step) + 1)
-        xs = np.arange(i0, i1, dtype=float) * step + lo
-        if i1 == n:
-            xs[-1] = hi
-        parts.append(xs[(xs > a) & (xs < b)])
-    pts = np.concatenate(parts) if parts else np.empty(0)
-    return pts if pts.size else np.array([0.5 * (a + b)])
-
-
-def scan_collinear(p: SystemParams, samples: int = MIN_INNER_SAMPLES) -> CollinearScan:
-    """Bracket the roots of f(x, 0) in the three primary-free intervals:
-    ends of the certified monotone pieces, dense samples elsewhere."""
-    if samples < 8:
-        raise DomainError("samples must be at least 8")
-    if p.mb > 0.0 and p.t_belt == 0.0:
+def scan_collinear(p: SystemParams) -> CollinearScan:
+    """Bracket the roots of f(x, 0) in the three primary-free intervals by
+    certified subdivision: see the module docstring."""
+    if p.mb > 0.0 and p.t_belt < THIN_BELT:
         raise DomainError(
-            f"mb = {p.mb} > 0 with t_belt = 0 makes the belt a point mass at "
-            "the origin, a third singular point of the axis force; the axis "
-            "equilibria need t_belt > 0 when mb > 0"
+            f"mb = {p.mb} > 0 with t_belt = {p.t_belt} makes the belt a point "
+            "mass at the origin, a third singular point of the axis force; the "
+            f"axis equilibria need t_belt >= {THIN_BELT:g} when mb > 0"
         )
-    grids = _dense_grids(p, samples)
-    cuts = {lo for lo, _, _ in grids} | {hi for _, hi, _ in grids}
-    if p.mb:
-        cuts.update(p.t_belt / math.sqrt(2.0) * np.linspace(-1.0, 1.0, 2 * CORE_CHUNKS + 1))
-    cuts = np.array(sorted(cuts))
     free = (
         (-X_MAX, -p.mu - PRIMARY_GAP),
         (-p.mu + PRIMARY_GAP, 1.0 - p.mu - PRIMARY_GAP),
         (1.0 - p.mu + PRIMARY_GAP, X_MAX),
     )
+    knee = -p.t_belt / math.sqrt(2.0)
     ends = [
-        np.concatenate(([lo], cuts[(cuts > lo) & (cuts < hi)], [hi]))
-        for lo, hi in free
-        if lo < hi
+        [lo, *(c for c in (knee, 0.0) if lo < c < hi), hi] for lo, hi in free if lo < hi
     ]
-    a = np.concatenate([e[:-1] for e in ends])
-    b = np.concatenate([e[1:] for e in ends])
-    bound = fprime_floor(p, a, b)
-    monotone = (bound > 0.0).tolist()
+    a = np.array([x for e in ends for x in e[:-1]])
+    b = np.array([x for e in ends for x in e[1:]])
+    done_a, done_b = [], []
+    while a.size:
+        floor, ceiling = fprime_bounds(p, a, b)
+        # split what neither bound certifies, down to FOLD_WIDTH of the
+        # distance to the nearer primary and of T (or a few dozen ulp)
+        scale = np.minimum(np.abs(a + p.mu), np.abs(a + p.mu - 1.0))
+        if p.mb:
+            scale = np.minimum(scale, p.t_belt)
+        split = (floor <= 0.0) & (ceiling >= 0.0)
+        split &= b - a > np.maximum(FOLD_WIDTH * scale, 1e-14 * np.abs(a))
+        keep = ~split
+        done_a.append(a[keep])
+        done_b.append(b[keep])
+        a, b = a[split], b[split]
+        grid = a[:, None] + ((b - a)[:, None] / SPLIT) * np.arange(SPLIT + 1)
+        grid[:, -1] = b
+        a, b = grid[:, :-1].ravel(), grid[:, 1:].ravel()
 
-    intervals: list[tuple[float, float]] = []
-    counts: list[int] = []
-    xs_parts: list[np.ndarray] = []
-    spans: list[tuple[int, int]] = []  # sample index range of each free interval
-    k = 0
-    n_total = 0
-    for e in ends:
-        first = n_total
-        i, last = 0, len(e) - 1
-        while i < last:
-            j = i + 1
-            if monotone[k + i]:
-                pts = e[i:j]
-            else:  # a run of uncertified pieces, sampled as one stretch
-                while j < last and not monotone[k + j]:
-                    j += 1
-                pts = np.concatenate((e[i : i + 1], _grid_points(grids, e[i], e[j])))
-            intervals.append((float(e[i]), float(e[j])))
-            counts.append(len(pts) + 1)
-            xs_parts.append(pts)
-            n_total += len(pts)
-            i = j
-        xs_parts.append(e[last:])
-        n_total += 1
-        spans.append((first, n_total))
-        k += last
-
-    xs = np.concatenate(xs_parts)
+    a, b = np.concatenate(done_a), np.concatenate(done_b)
+    order = np.argsort(a)
+    a, b = a[order], b[order]
+    floor, ceiling = fprime_bounds(p, a, b)
+    fold = (floor <= 0.0) & (ceiling >= 0.0)
+    xs = np.unique(np.concatenate((a, b, 0.5 * (a[fold] + b[fold]))))
     fs = collinear_f(p, xs)
-    brackets: list[tuple[float, float]] = []
-    for lo, hi in spans:
-        x, f = xs[lo:hi], fs[lo:hi]
-        for i in np.flatnonzero(f == 0.0):
-            brackets.append((float(x[i]), float(x[i])))
-        for i in np.flatnonzero(f[:-1] * f[1:] < 0.0):
-            brackets.append((float(x[i]), float(x[i + 1])))
-    brackets.sort()
+    side = (xs > -p.mu).astype(int) + (xs > 1.0 - p.mu)
+    # a root per sign change between neighbouring nonzero values on one
+    # side of the primaries; a zero of f between them is the root itself
+    i = np.flatnonzero(fs)
+    i, j = i[:-1], i[1:]
+    change = ((fs[i] > 0.0) != (fs[j] > 0.0)) & (side[i] == side[j])
+    i, j = i[change], j[change]
+    zero = j > i + 1
+    m = (i + j) // 2
+    lo, hi = np.where(zero, xs[m], xs[i]), np.where(zero, xs[m], xs[j])
     return CollinearScan(
-        intervals=tuple(intervals),
-        samples=tuple(counts),
-        brackets=tuple(brackets),
+        intervals=tuple(zip(a.tolist(), b.tolist())),
+        samples=tuple(np.where(fold, 3, 2).tolist()),
+        brackets=tuple(zip(lo.tolist(), hi.tolist())),
     )
-
-
-_EPS = sys.float_info.epsilon
 
 
 def _brent(p: SystemParams, a: float, b: float) -> float:
@@ -307,14 +263,12 @@ def _brent(p: SystemParams, a: float, b: float) -> float:
     def f(x):
         return omega_grad(p, x, 0.0)[0]
 
+    # the scan took its signs from the same kernel, so fa and fb differ in sign
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
-    if (fa > 0.0) == (fb > 0.0):
-        # the scan's sign change sits below the kernel's rounding
-        return a if abs(fa) <= abs(fb) else b
     c, fc = a, fa
     d = e = b - a
     for _ in range(200):
@@ -352,56 +306,53 @@ def _brent(p: SystemParams, a: float, b: float) -> float:
     return b
 
 
-def find_collinear(p: SystemParams, samples: int = MIN_INNER_SAMPLES) -> list[EquilibriumPoint]:
-    """All axis equilibria, polished by Brent's method and labeled.
+def _axis_roots(p: SystemParams) -> list[float]:
+    """The distinct roots of f on the axis: the scan's brackets, each
+    polished by Brent's method."""
+    return [lo if lo == hi else _brent(p, lo, hi) for lo, hi in scan_collinear(p).brackets]
 
-    Returns 3 points (L3, L1, L2) without a belt, and 5 (adding Xb2, Xb1)
-    when the belt attraction splits the inner interval.  An unexpected root
-    pattern raises ScanError.  Where a sampled stretch of the axis holds
-    the unexpected count, more ``samples`` may resolve it; where only
-    certified monotone pieces do, the count is exact.
-    """
-    scan = scan_collinear(p, samples)
-    roots: list[float] = []
-    for lo, hi in scan.brackets:
-        r = lo if lo == hi else _brent(p, lo, hi)
-        if not any(abs(r - other) < 1e-10 for other in roots):
-            roots.append(r)
+
+def _axis_labels(p: SystemParams, roots) -> list[tuple[str, float]]:
+    """Label the axis roots by the direction in which f crosses zero.
+
+    For q1 > 0, f runs from -inf to +inf across each free interval.  So the
+    left and right ones hold L3 and L2, and the middle one holds L1 alone or
+    three roots crossing up, down and up: Xb2, Xb1 and L1.  Any other
+    pattern raises ScanError; the scan's count is exact, so its message
+    says why the pattern has no labelling."""
     left, middle, right = (
         sorted(r for r in roots if _side(p, r) == side) for side in (-1, 0, 1)
     )
-    wrong = {
-        side
-        for side, found, ok in ((-1, left, (1,)), (0, middle, (1, 3)), (1, right, (1,)))
-        if len(found) not in ok
-    }
-    if wrong:
-        sampled = any(
-            n > 2 and _side(p, 0.5 * (lo + hi)) in wrong
-            for (lo, hi), n in zip(scan.intervals, scan.samples)
-        )
+    pattern = (
+        f"unexpected root pattern (left={len(left)}, middle={len(middle)}, "
+        f"right={len(right)})"
+    )
+    if p.q1 <= 0.0:
         raise ScanError(
-            f"unexpected root pattern (left={len(left)}, middle={len(middle)}, "
-            f"right={len(right)})"
-            + ("; increase samples" if sampled else "; the count is exact, "
-               "every piece of the axis there is monotone")
+            f"{pattern}: q1 = {p.q1:g} "
+            + ("removes" if p.q1 == 0.0 else "turns round")
+            + " the bigger primary's pole, so f need not run from -inf to +inf "
+            "between the primaries, and the roots have no L1-L3 labelling"
         )
-    labeled = [("L3", left[0]), ("L2", right[0])]
-    if len(middle) == 1:
-        labeled.append(("L1", middle[0]))
-    else:
-        # f rises from -inf right of the bigger primary, so the three roots
-        # alternate up (Xb2), down (Xb1), up (L1) crossings; the labels
-        # follow from the order alone.
-        xb2, xb1, l1 = middle
-        if not xb1 < 0.0 < l1:
-            raise ScanError(
-                f"inner roots {xb2:.6g}, {xb1:.6g}, {l1:.6g} are not ordered "
-                "-mu < Xb2 < Xb1 < 0 < L1"
-            )
-        labeled += [("L1", l1), ("Xb1", xb1), ("Xb2", xb2)]
-    points = [_point(p, kind, x, 0.0) for kind, x in labeled]
-    return sorted(points, key=lambda e: e.x)
+    if len(left) != 1 or len(right) != 1 or len(middle) not in (1, 3):
+        raise ScanError(
+            f"{pattern}: the count is exact, and only one root on each outer "
+            "side with one or three between the primaries has an L1-L3 labelling"
+        )
+    kinds = ("L1",) if len(middle) == 1 else ("Xb2", "Xb1", "L1")
+    return [("L3", left[0]), *zip(kinds, middle), ("L2", right[0])]
+
+
+def find_collinear(p: SystemParams) -> list[EquilibriumPoint]:
+    """All axis equilibria, polished by Brent's method and labeled by
+    crossing direction (_axis_labels), in axis order.
+
+    Returns 3 points (L3, L1, L2) without a belt, and 5 (adding Xb2, Xb1)
+    when the belt attraction splits the inner interval.  A root pattern
+    with no labelling raises ScanError.
+    """
+    labeled = _axis_labels(p, _axis_roots(p))
+    return [_point(p, kind, x, 0.0) for kind, x in labeled]
 
 
 def _side(p: SystemParams, x: float) -> int:
@@ -454,21 +405,13 @@ def refine_equilibrium(p: SystemParams, guess) -> EquilibriumPoint:
 
 
 def _positional_kind(p: SystemParams, x: float, y: float) -> str:
+    """L4 or L5 off the axis; on it, the label _axis_labels gives the
+    nearest root of the axis scan, as in find_collinear."""
     if y > 1e-12:
         return "L4"
     if y < -1e-12:
         return "L5"
-    if x < -p.mu:
-        return "L3"
-    if x > 1.0 - p.mu:
-        return "L2"
-    # Same rule as find_collinear: when f(0) < 0, a root in (-mu, 0) belongs
-    # to the belt pair, Xb1 where f falls through zero (Omega_xx < 0) and Xb2
-    # where it rises (Omega_xx > 0).  Otherwise it is a lone L1.
-    if p.mb > 0.0 and p.t_belt > 0.0 and -p.mu < x < 0.0 and omega_grad(p, 0.0, 0.0)[0] < 0.0:
-        oxx, _, _ = omega_hessian(p, x, 0.0)
-        return "Xb1" if oxx < 0.0 else "Xb2"
-    return "L1"
+    return min(_axis_labels(p, _axis_roots(p)), key=lambda kx: abs(kx[1] - x))[0]
 
 
 def _solve_r2(a2: float, rhs: float) -> float:
@@ -570,9 +513,10 @@ def find_triangular(p: SystemParams) -> tuple[EquilibriumPoint, EquilibriumPoint
         l4 = refine_equilibrium(p, seed)
         if l4.kind != "L4":
             raise ConvergenceError("refinement left the upper half-plane", [])
-    except (ConvergenceError, NoTriangularPointsError):
-        # no closed-form seed, or one outside the Newton basin; the point
-        # may still exist, and the continuation decides
+    except (NumericalError, NoTriangularPointsError):
+        # no closed-form seed, or one outside the Newton basin or leading
+        # to an axis point with no label; the point may still exist, and
+        # the continuation decides
         l4 = _continuation_triangular(p)
     l5 = EquilibriumPoint("L5", l4.x, -l4.y, l4.r1, l4.r2, l4.residual)
     return l4, l5
@@ -606,7 +550,7 @@ def _continuation_triangular(p: SystemParams) -> EquilibriumPoint:
         )
         try:
             cand = refine_equilibrium(stage, guess)
-        except ConvergenceError:
+        except NumericalError:  # no convergence, or an axis point with no label
             cand = None
         if cand is None or cand.kind != "L4":
             step *= 0.5
@@ -627,9 +571,9 @@ def _is_classical(p: SystemParams) -> bool:
     return p.q1 == 1.0 and p.a2 == 0.0 and p.mb == 0.0
 
 
-def find_all(p: SystemParams, samples: int = MIN_INNER_SAMPLES) -> list[EquilibriumPoint]:
+def find_all(p: SystemParams) -> list[EquilibriumPoint]:
     """Axis points plus the triangular pair (when the latter exist)."""
-    points = find_collinear(p, samples)
+    points = find_collinear(p)
     try:
         points.extend(find_triangular(p))
     except NoTriangularPointsError:

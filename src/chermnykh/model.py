@@ -187,10 +187,13 @@ def kernel(p: SystemParams, x, y, order: int):
     oyy = p.n2 - a + a3 * yy - b + b3 * yy - c + c5 * yy
     oxy = (a3 * s + (b3 + c5) * u) * y
     if p.mb:
-        bw3 = 3.0 * bw / w
-        oxx = oxx - bw + bw3 * x * x
-        oyy = oyy - bw + bw3 * yy
-        oxy = oxy + bw3 * x * y
+        # 3 bw / w = 3 M_b / w^{5/2} overflows in the core of a belt thinner
+        # than ~1e-61, so there 1/w comes last; wider belts multiply by 1.0,
+        # which keeps their results bit for bit
+        bw3, inv_w = (3.0 * bw / w, 1.0) if p.t_belt > 1e-50 else (3.0 * bw, 1.0 / w)
+        oxx = oxx - bw + bw3 * x * x * inv_w
+        oyy = oyy - bw + bw3 * yy * inv_w
+        oxy = oxy + bw3 * x * y * inv_w
     return (gx, gy), (oxx, oxy, oyy)
 
 

@@ -120,7 +120,8 @@ def _f_star(p: SystemParams, x: float, y: float, r1: float, r2: float) -> float:
     return (
         (1.0 - p.mu) * p.q1 / r1**3
         + (p.mu / r2**3) * (1.0 + 1.5 * p.a2 / r2**2)
-        + 3.0 * p.mb / w**2.5
+        # one factor of w at a time: w^2.5 underflows in a belt core for T < 1e-65
+        + (3.0 * p.mb / w / w / math.sqrt(w) if p.mb else 0.0)
     )
 
 
@@ -143,6 +144,12 @@ def char_coeffs(p: SystemParams, e: EquilibriumPoint) -> CharCoefficients:
     oxx, oxy, oyy = omega_hessian(p, e.x, e.y)
     b = 4.0 * p.n2 - oxx - oyy
     d = oxx * oyy - oxy * oxy
+    if not (math.isfinite(b) and math.isfinite(d)):
+        # a point in the core of a belt thinner than ~1e-50: Omega_xx and
+        # Omega_yy reach M_b / T^3, and their product leaves double range
+        raise DomainError(
+            f"characteristic coefficients overflow at {e.kind} (b = {b:.3g}, d = {d:.3g})"
+        )
     g = _g_bracket(p, e.x, e.y, e.r1, e.r2) if e.is_triangular else None
     return CharCoefficients(b, d, _f_star(p, e.x, e.y, e.r1, e.r2), g)
 

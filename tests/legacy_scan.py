@@ -2,23 +2,60 @@
 replaced.
 
 It samples f(x, 0) = Omega_x(x, 0) at np.linspace points over five fixed
-axis intervals (20,000 per interval by default), brackets every sign
-change, polishes each bracket by bisection to floating-point exhaustion
-and labels the roots by order.  The differential tests hold the certified
-scan to it.
+axis intervals (DENSE_SAMPLES per interval), brackets every sign change,
+polishes each bracket by bisection to floating-point exhaustion and labels
+the roots by order.  It evaluates f with its own sign-resolved copy of the
+axis force, so the reference does not run through the force kernel or the
+scan it checks.  The differential tests hold the certified scan to it.
 """
 
 import math
 
 import numpy as np
 
-from chermnykh.equilibria import (
-    MIN_INNER_SAMPLES,
-    PRIMARY_GAP,
-    X_MAX,
-    collinear_f,
-)
-from chermnykh.errors import DomainError, ScanError
+from chermnykh.equilibria import PRIMARY_GAP, X_MAX
+from chermnykh.errors import ScanError
+
+DENSE_SAMPLES = 20000
+
+
+def axis_force(p, x):
+    """f(x) = Omega_x(x, 0) in the sign-resolved piecewise form, so that
+    either side of each primary takes the right branch.  Scalars or arrays."""
+    x = np.asarray(x, dtype=float)
+    s = x + p.mu
+    u = x + p.mu - 1.0
+    w = x * x + p.t_belt**2
+    val = (
+        p.n2 * x
+        - (1.0 - p.mu) * p.q1 * np.sign(s) / (s * s)
+        - p.mu * np.sign(u) / (u * u)
+        - 1.5 * p.mu * p.a2 * np.sign(u) / (u * u * u * u)
+        - (p.mb * x / w**1.5 if p.mb else 0.0)
+    )
+    return float(val) if np.ndim(val) == 0 else val
+
+
+def axis_force_size(p, x):
+    """The sum of the magnitudes of the terms of axis_force: its rounding
+    is a few ulp of this."""
+    x = np.asarray(x, dtype=float)
+    s = x + p.mu
+    u = x + p.mu - 1.0
+    w = x * x + p.t_belt**2
+    return (
+        p.n2 * np.abs(x)
+        + (1.0 - p.mu) * abs(p.q1) / (s * s)
+        + p.mu / (u * u)
+        + 1.5 * p.mu * p.a2 / (u * u * u * u)
+        + (p.mb * np.abs(x) / w**1.5 if p.mb else 0.0)
+    )
+
+
+def polish(p, lo, hi):
+    """The root of axis_force in the sign-change bracket [lo, hi], by
+    bisection to floating-point exhaustion."""
+    return lo if lo == hi else _bisect(p, lo, hi, axis_force(p, lo), axis_force(p, hi))
 
 
 def _bisect(p, lo, hi, flo, fhi):
@@ -30,7 +67,7 @@ def _bisect(p, lo, hi, flo, fhi):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        fm = collinear_f(p, mid)
+        fm = axis_force(p, mid)
         if fm == 0.0:
             return mid
         if flo * fm < 0.0:
@@ -40,32 +77,30 @@ def _bisect(p, lo, hi, flo, fhi):
     return lo if abs(flo) <= abs(fhi) else hi
 
 
-def dense_pieces(p, samples=MIN_INNER_SAMPLES):
+def dense_pieces(p):
     """The five dense intervals (lo, hi, n), sampled by np.linspace."""
-    if samples < 8:
-        raise DomainError("samples must be at least 8")
     knee = -p.t_belt / math.sqrt(2.0)
-    inner_n = max(samples, MIN_INNER_SAMPLES)
+    n = DENSE_SAMPLES
     origin = -PRIMARY_GAP if (p.mb > 0.0 and p.t_belt == 0.0) else 0.0
-    pieces = [(-X_MAX, -p.mu - PRIMARY_GAP, samples)]
+    pieces = [(-X_MAX, -p.mu - PRIMARY_GAP, n)]
     if -p.mu + PRIMARY_GAP < knee < origin:
-        pieces.append((-p.mu + PRIMARY_GAP, knee, inner_n))
-        pieces.append((knee, origin, inner_n))
+        pieces.append((-p.mu + PRIMARY_GAP, knee, n))
+        pieces.append((knee, origin, n))
     else:
-        pieces.append((-p.mu + PRIMARY_GAP, origin, inner_n))
-    pieces.append((abs(origin), 1.0 - p.mu - PRIMARY_GAP, samples))
-    pieces.append((1.0 - p.mu + PRIMARY_GAP, X_MAX, samples))
+        pieces.append((-p.mu + PRIMARY_GAP, origin, n))
+    pieces.append((abs(origin), 1.0 - p.mu - PRIMARY_GAP, n))
+    pieces.append((1.0 - p.mu + PRIMARY_GAP, X_MAX, n))
     return pieces
 
 
-def dense_brackets(p, samples=MIN_INNER_SAMPLES):
+def dense_brackets(p):
     """Sign-change brackets of f over the five dense intervals."""
     brackets = []
-    for lo, hi, n in dense_pieces(p, samples):
+    for lo, hi, n in dense_pieces(p):
         if not lo < hi:
             continue
         xs = np.linspace(lo, hi, n)
-        fs = collinear_f(p, xs)
+        fs = axis_force(p, xs)
         for i in np.nonzero(fs == 0.0)[0]:
             brackets.append((float(xs[i]), float(xs[i])))
         for i in np.nonzero(fs[:-1] * fs[1:] < 0.0)[0]:
@@ -73,17 +108,24 @@ def dense_brackets(p, samples=MIN_INNER_SAMPLES):
     return sorted(brackets)
 
 
-def dense_find_collinear(p, samples=MIN_INNER_SAMPLES):
-    """Labelled axis roots [(kind, x)] in axis order, as the dense scan
-    found them; raises ScanError on the patterns it rejected."""
+def dense_roots(p):
+    """The distinct roots of f the dense scan finds, in axis order."""
     roots = []
-    for lo, hi in dense_brackets(p, samples):
-        r = lo if lo == hi else _bisect(p, lo, hi, collinear_f(p, lo), collinear_f(p, hi))
+    for lo, hi in dense_brackets(p):
+        r = polish(p, lo, hi)
         if not any(abs(r - other) < 1e-10 for other in roots):
             roots.append(r)
-    left = sorted(r for r in roots if r < -p.mu)
-    middle = sorted(r for r in roots if -p.mu < r < 1.0 - p.mu)
-    right = sorted(r for r in roots if r > 1.0 - p.mu)
+    return sorted(roots)
+
+
+def dense_find_collinear(p):
+    """Labelled axis roots [(kind, x)] in axis order, as the dense scan
+    found them; raises ScanError on the patterns it rejected, "not
+    ordered" among them."""
+    roots = dense_roots(p)
+    left = [r for r in roots if r < -p.mu]
+    middle = [r for r in roots if -p.mu < r < 1.0 - p.mu]
+    right = [r for r in roots if r > 1.0 - p.mu]
     if len(left) != 1 or len(right) != 1 or len(middle) not in (1, 3):
         raise ScanError(
             f"unexpected root pattern (left={len(left)}, middle={len(middle)}, "

@@ -81,6 +81,14 @@ class TestConfigHandling:
         with pytest.raises(UsageError, match="unknown key"):
             parse_config("speed = 11\n")
 
+    def test_samples_key_and_flag_are_gone(self, capsys):
+        # the axis scan is certified and has no sampling density to set
+        with pytest.raises(UsageError, match="unknown key 'samples'"):
+            parse_config("mu = 0.1\nsamples = 20000\n")
+        assert "samples" not in build_config("sweep", {"sweep_mb": "0,0.2"}).to_file_text()
+        for command in ("equilibria", "stability", "sweep"):
+            assert main([command, "--samples", "100"]) == EXIT_USAGE
+
     def test_config_malformed_line_rejected(self):
         with pytest.raises(UsageError, match="key = value"):
             parse_config("just words\n")
@@ -388,13 +396,13 @@ class TestSweepCommand:
         assert row["omega1"] == ""
 
     def test_failed_axis_keeps_the_triangular_columns(self, tmp_path):
-        # at mu = 1/2 the belt pair trips the axis labelling; L4 does not
-        # depend on it and is still reported
+        # a point-mass belt (t = 0) makes the origin singular and the axis
+        # scan refuses it; L4 does not depend on it and is still reported
         _, text = run_to_file(
-            tmp_path, ["sweep", "--sweep-mu", "0.5", "--mb", "0.3"], "s.csv"
+            tmp_path, ["sweep", "--sweep-mu", "0.5", "--mb", "0.3", "--t", "0"], "s.csv"
         )
         row = dict(zip(text.splitlines()[1].split(","), text.splitlines()[2].split(",", 13)))
-        assert "equilibria failed" in row["note"] and "are not ordered" in row["note"]
+        assert "equilibria failed" in row["note"] and "point mass" in row["note"]
         assert row["n_axis_points"] == "0" and row["l1_x"] == ""
         assert row["l4_classification"] == "Unstable-ComplexQuartet"
 

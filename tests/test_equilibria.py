@@ -134,10 +134,6 @@ class TestFindCollinear:
             assert lo <= hi
             assert any(a <= lo and hi <= b for a, b in scan.intervals)
 
-    def test_rejects_tiny_sample_count(self, classical):
-        with pytest.raises(DomainError):
-            scan_collinear(classical, samples=4)
-
     def test_point_mass_belt_is_a_domain_error(self):
         # t_belt = 0 puts the whole belt at the origin: a singular point of
         # the axis force, not a root pattern more samples could resolve
@@ -146,6 +142,30 @@ class TestFindCollinear:
         msg = str(info.value)
         assert "mb" in msg and "t_belt" in msg
         assert "increase samples" not in msg
+
+    def test_inner_pair_about_the_origin_labelled_by_crossing(self):
+        # at mu = 1/2, f(0) = 0: the belt pair straddles the origin, with
+        # Xb1 the downward crossing at 0 and L1 the last upward one
+        p = SystemParams(mu=0.5, mb=0.3)
+        pts = find_collinear(p)
+        assert [e.kind for e in pts] == ["L3", "Xb2", "Xb1", "L1", "L2"]
+        k = by_kind(pts)
+        assert k["Xb2"].x == pytest.approx(-0.223215, abs=1e-6)
+        assert k["Xb1"].x == 0.0
+        assert k["L1"].x == pytest.approx(0.223215, abs=1e-6)
+        for e in pts:
+            assert refine_equilibrium(p, e).kind == e.kind
+
+    def test_q1_zero_pattern_error_names_the_missing_pole(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = SystemParams(mu=0.025, q1=0.0, mb=0.2)
+        with pytest.raises(ScanError) as info:
+            find_collinear(p)
+        msg = str(info.value)
+        assert "(left=1, middle=2, right=1)" in msg
+        assert "q1 = 0 removes the bigger primary's pole" in msg
+        assert "samples" not in msg
 
     def test_exact_root_pattern_gives_no_sampling_advice(self):
         # q1 = 0 without a belt: no root left of the primary, and every
