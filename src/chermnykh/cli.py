@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, replace
 from . import reference_data as rd
 from .dynamics import integrate, zvc_contours
 from .equilibria import find_all, find_triangular
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NoTriangularPointsError, NumericalError
 from .model import SystemParams
 from .stability import classify, critical_mass_exact, triangular_frequencies
 
@@ -412,6 +412,12 @@ _NO_POINT_NOTE = "no off-axis equilibrium at these parameters (series-only cell)
 _HEADER_NOTE = 'column printed as "(0, 0.02)"; the value pattern identifies it as (0, 0.2)'
 
 
+def _failure_note(exc: Exception) -> str:
+    """The note of a cell left at nan: series-only where no off-axis point
+    exists, else the error's own message."""
+    return _NO_POINT_NOTE if isinstance(exc, NoTriangularPointsError) else str(exc)
+
+
 def reproduce_tables(which: str) -> TableArtifact:
     """Recompute every cell of a published table on its own grid
     (mu = 0.025, r_c = 0.8, T = 0.01) and report side by side."""
@@ -443,9 +449,9 @@ def _reproduce_frequencies() -> TableArtifact:
                         p = SystemParams(mu=0.025, q1=q1, a2=a2, mb=mb)
                         w1, w2 = triangular_frequencies(p)
                     d1, d2 = abs(w1 - w1_ref), abs(w2 - w2_ref)
-                except (DomainError, NumericalError):
+                except (DomainError, NumericalError) as exc:
                     w1 = w2 = d1 = d2 = math.nan
-                    note = (note + "; " if note else "") + _NO_POINT_NOTE
+                    note = (note + "; " if note else "") + _failure_note(exc)
                 rows.append(
                     (a2, q1, mb, w1_ref, w2_ref, w1, w2, d1, d2,
                      "reproduced" if status == "normative" else status, note)
@@ -475,9 +481,9 @@ def _reproduce_critical_masses() -> TableArtifact:
                         base = SystemParams(mu=0.025, q1=q1, a2=a2, mb=mb)
                         mu = critical_mass_exact(base, k)
                     delta = abs(mu - ref)
-                except (DomainError, NumericalError):
+                except (DomainError, NumericalError) as exc:
                     mu = delta = math.nan
-                    notes.append(_NO_POINT_NOTE)
+                    notes.append(_failure_note(exc))
                 rows.append(
                     (q1, k, a2, mb, ref, mu, delta,
                      "reproduced" if status == "normative" else status,

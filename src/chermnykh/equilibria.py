@@ -254,17 +254,11 @@ def scan_collinear(p: SystemParams) -> CollinearScan:
     )
 
 
-def _brent(p: SystemParams, a: float, b: float) -> float:
-    """Root of Omega_x(., 0) in the sign-change bracket [a, b] by Brent's
-    method (Brent 1973, zeroin): inverse quadratic or secant steps,
-    safeguarded by bisection, on the float kernel.  It stops when the
-    bracket is within 4 ulp of its better end, which it returns."""
-
-    def f(x):
-        return omega_grad(p, x, 0.0)[0]
-
-    # the scan took its signs from the same kernel, so fa and fb differ in sign
-    fa, fb = f(a), f(b)
+def brent(f, a: float, b: float, fa: float, fb: float, atol: float = 1e-300) -> float:
+    """Root of f in the bracket [a, b], where fa = f(a) and fb = f(b) differ
+    in sign, by Brent's method (Brent 1973, zeroin): inverse quadratic or
+    secant steps, safeguarded by bisection.  It stops when the bracket is
+    within 4 ulp + 2 atol of its better end, which it returns."""
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -278,7 +272,7 @@ def _brent(p: SystemParams, a: float, b: float) -> float:
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * _EPS * abs(b) + 1e-300
+        tol = 2.0 * _EPS * abs(b) + atol
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             break
@@ -308,8 +302,16 @@ def _brent(p: SystemParams, a: float, b: float) -> float:
 
 def _axis_roots(p: SystemParams) -> list[float]:
     """The distinct roots of f on the axis: the scan's brackets, each
-    polished by Brent's method."""
-    return [lo if lo == hi else _brent(p, lo, hi) for lo, hi in scan_collinear(p).brackets]
+    polished by Brent's method on the float kernel."""
+
+    def f(x):
+        return omega_grad(p, x, 0.0)[0]
+
+    # the scan took its signs from the same kernel, so f(lo) and f(hi) differ in sign
+    return [
+        lo if lo == hi else brent(f, lo, hi, f(lo), f(hi))
+        for lo, hi in scan_collinear(p).brackets
+    ]
 
 
 def _axis_labels(p: SystemParams, roots) -> list[tuple[str, float]]:

@@ -15,8 +15,12 @@ belt terms deviate from the Hessian at first order in mb.
 Critical mass ratios mu_k mark the k:1 frequency resonances omega1 = k
 omega2 of the triangular points.  Three routes are provided: the published
 closed expression (with its auxiliary b1, b2 coefficients evaluated at
-r = rc), direct bisection on K b^2 - d of the refined point, and the
-published linear-in-perturbation series.
+r = rc), the Hessian-route residual K b^2 - d of the refined point, and the
+published linear-in-perturbation series.  The first two are roots in mu of
+a residual at the refined point: _resonance_root brackets a sign change
+from the classical mu_k and finishes it with equilibria.brent, the same
+Brent solver that polishes the axis roots.  stability_flip runs it on the
+classification.
 """
 
 from __future__ import annotations
@@ -32,11 +36,11 @@ import numpy as np
 from .reference_data import LINEAR_SERIES
 from .equilibria import (
     EquilibriumPoint,
+    brent,
     find_triangular,
     require_refined,
 )
 from .errors import (
-    ConvergenceError,
     DomainError,
     NoResonanceError,
     NoTriangularPointsError,
@@ -228,9 +232,7 @@ def _frequencies(b: float, d: float) -> tuple[float, float] | None:
     return w1, w2
 
 
-def classify(
-    p: SystemParams, e: EquilibriumPoint, resonance_tol: float = RESONANCE_TOL
-) -> StabilityReport:
+def classify(p: SystemParams, e: EquilibriumPoint) -> StabilityReport:
     """Stability category of a refined equilibrium.
 
     d < 0 gives a real positive root (saddle); on the stable side
@@ -249,7 +251,7 @@ def classify(
         omega1, omega2 = _frequencies(c.b, c.d)
         category = LINEARLY_STABLE
         for k in (1, 2, 3):
-            if abs(omega1 - k * omega2) <= resonance_tol:
+            if abs(omega1 - k * omega2) <= RESONANCE_TOL:
                 category = MARGINAL_RESONANT
                 resonance_k = k
                 break
@@ -313,106 +315,88 @@ def classical_resonance_mu(k: int) -> float:
     return 0.5 * (1.0 - math.sqrt(1.0 - 16.0 * K / 27.0))
 
 
+def _resonance_root(base: SystemParams, k: int, residual) -> float:
+    """Mass ratio where residual(stage, L4) changes sign, L4 being the
+    refined triangular point of base at that mass ratio.
+
+    The bracket search starts at the classical mu_k and doubles mu while the
+    residual stays positive (below the root), or halves it while it stays
+    negative, until the sign changes in (0, 1/2]; Brent's method then
+    finishes the bracket to 1e-15 in mu."""
+
+    def f(mu: float) -> float:
+        stage = replace(base, mu=mu)
+        point, _ = find_triangular(stage)
+        return residual(stage, point)
+
+    start = b = classical_resonance_mu(k)
+    fb = f(b)
+    factor = 2.0 if fb > 0.0 else 0.5
+    a, fa = b, fb
+    while fb != 0.0 and (fa > 0.0) == (fb > 0.0):
+        if not 1e-6 <= b < 0.5:
+            raise NoResonanceError(
+                f"no resonance crossing in (0, 1/2] for k = {k}: the residual "
+                f"keeps its sign from mu = {start:.6g} to {b:.3g}"
+            )
+        a, fa = b, fb
+        b = min(factor * b, 0.5)
+        fb = f(b)
+    return brent(f, a, b, fa, fb, atol=1e-15)
+
+
 def critical_mass_exact(base: SystemParams, k: int) -> float:
     """Critical mass ratio of the k:1 resonance from the closed expression
 
         mu_k = (3g + 2K b1 b2 - sqrt(g) sqrt(9g - 4K b1^2 + 12K b1 b2))
                / (6 (g + K b2^2)),
 
-    iterated to a fixed point in mu because the g bracket depends on the
-    triangular point's position, evaluated at the Newton-refined point.
-    The published radical carries 12 b1 b2; the K factor restored here is
-    required for the classical limit to reduce to the closed classical
-    value.  base's own mu is ignored.
+    the smaller root in mu of K (b1 - 3 mu b2)^2 = 9 mu (1 - mu) g with g
+    held fixed.  g is the bracket at the Newton-refined triangular point, so
+    it depends on mu; the root of that residual with g = g(mu) is found by
+    _resonance_root.  The published radical carries 12 b1 b2; the K factor
+    restored here is required for the classical limit to reduce to the
+    closed classical value.  base's own mu is ignored.
     """
     K, b1, b2 = resonance_terms(base, k)
-    mu = 0.5 * (1.0 - math.sqrt(1.0 - 16.0 * K / 27.0))
-    for _ in range(100):
-        stage = replace(base, mu=mu)
-        point, _ = find_triangular(stage)
-        g = _g_resonance(stage, point)
-        rad = 9.0 * g - 4.0 * K * b1 * b1 + 12.0 * K * b1 * b2
-        if g <= 0.0 or rad < 0.0:
-            raise NoResonanceError(
-                f"no resonance crossing in (0, 1/2] for k = {k} "
-                f"(radicand {rad:.3e})"
-            )
-        mu_next = (3.0 * g + 2.0 * K * b1 * b2 - math.sqrt(g) * math.sqrt(rad)) / (
-            6.0 * (g + K * b2 * b2)
-        )
-        if not 0.0 < mu_next <= 0.5:
-            raise NoResonanceError(
-                f"closed expression left (0, 1/2]: mu = {mu_next:.6g}"
-            )
-        if abs(mu_next - mu) <= 1e-14:
-            return mu_next
-        mu = mu_next
-    raise ConvergenceError(
-        f"critical-mass fixed point did not settle for k = {k}",
-        [(mu, 0.0, abs(mu_next - mu))],
-    )
+
+    def residual(stage: SystemParams, point: EquilibriumPoint) -> float:
+        mu, g = stage.mu, _g_resonance(stage, point)
+        return K * (b1 - 3.0 * mu * b2) ** 2 - 9.0 * mu * (1.0 - mu) * g
+
+    return _resonance_root(base, k, residual)
 
 
 def critical_mass_resonance(base: SystemParams, k: int) -> float:
-    """Independent route: bisection on K b^2 - d of the refined triangular
-    point, which vanishes exactly at omega1 = k omega2.  For k = 1 this is
-    the b^2 = 4d stability boundary itself."""
+    """Independent route: the root of K b^2 - d of the refined triangular
+    point (Hessian route), which vanishes exactly at omega1 = k omega2.  For
+    k = 1 this is the b^2 = 4d stability boundary itself."""
     K, _, _ = resonance_terms(base, k)
 
-    def s(mu: float) -> float:
-        stage = replace(base, mu=mu)
-        point, _ = find_triangular(stage)
+    def residual(stage: SystemParams, point: EquilibriumPoint) -> float:
         c = char_coeffs(stage, point)
         return K * c.b * c.b - c.d
 
-    lo, hi = 1e-6, 0.5
-    slo, shi = s(lo), s(hi)
-    if slo == 0.0:
-        return lo
-    if shi == 0.0:
-        return hi
-    if slo * shi > 0.0:
-        raise NoResonanceError(f"no resonance crossing in (0, 1/2] for k = {k}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        sm = s(mid)
-        if sm == 0.0:
-            return mid
-        if slo * sm < 0.0:
-            hi, shi = mid, sm
-        else:
-            lo, slo = mid, sm
-    return 0.5 * (lo + hi)
+    return _resonance_root(base, k, residual)
 
 
 def stability_flip(base: SystemParams) -> float:
-    """Mass ratio where the refined triangular point's classification
-    leaves the stable side, located by bisection on classify."""
+    """Mass ratio in [1e-4, 1/2] where the refined triangular point's
+    classification leaves the stable side: Brent's method on +1 (stable)
+    and -1 from classify, which on a two-valued function bisects."""
 
-    def stable(mu: float) -> bool:
+    def stable(mu: float) -> float:
         stage = replace(base, mu=mu)
         point, _ = find_triangular(stage)
-        return classify(stage, point).classification in (
-            LINEARLY_STABLE,
-            MARGINAL_RESONANT,
-        )
+        category = classify(stage, point).classification
+        return 1.0 if category in (LINEARLY_STABLE, MARGINAL_RESONANT) else -1.0
 
-    lo, hi = 1e-4, 0.5
-    if not stable(lo):
+    slo, shi = stable(1e-4), stable(0.5)
+    if slo < 0.0:
         raise NoResonanceError("triangular point already unstable at mu = 1e-4")
-    if stable(hi):
+    if shi > 0.0:
         raise NoResonanceError("no stability flip below mu = 0.5")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brent(stable, 1e-4, 0.5, slo, shi, atol=1e-15)
 
 
 def critical_mass_linear(a2: float, eps: float, mb: float, k: int) -> float:

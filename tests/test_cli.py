@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from chermnykh import cli
 from chermnykh.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
@@ -22,6 +23,7 @@ from chermnykh.cli import (
     parse_config,
     reproduce_tables,
 )
+from chermnykh.errors import NoResonanceError
 
 from conftest import CLASSICAL
 
@@ -156,7 +158,8 @@ class TestExitCodes:
     def test_numerical_error(self, capsys):
         # massless radiating primary with no belt: the axis scan finds no
         # root pattern it can classify
-        assert main(["equilibria", "--q1", "0", "--mb", "0"]) == EXIT_NUMERICAL
+        with pytest.warns(UserWarning, match="q1 = 0.0 <= 0"):
+            assert main(["equilibria", "--q1", "0", "--mb", "0"]) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
     def test_io_error_unwritable_output(self):
@@ -308,6 +311,33 @@ class TestTablesCommand:
         assert len(nan_rows) == 9
         assert all(row[cols.index("q1")] == 0.0 for row in nan_rows)
         assert all("series-only" in row[cols.index("note")] for row in nan_rows)
+
+    def test_critical_mass_table_has_no_nan_cell(self):
+        art = reproduce_tables("table2")
+        cols = art.columns
+        mus = [row[cols.index("mu_computed")] for row in art.rows]
+        assert len(mus) == 120
+        assert not any(math.isnan(mu) for mu in mus)
+
+    @pytest.mark.parametrize(
+        "table, target, column",
+        [
+            ("table1", "triangular_frequencies", "omega1_computed"),
+            ("table2", "critical_mass_exact", "mu_computed"),
+        ],
+    )
+    def test_failed_cell_note_is_the_error_message(self, monkeypatch, table, target, column):
+        def fail(*args):
+            raise NoResonanceError("no resonance crossing in this cell")
+
+        monkeypatch.setattr(cli, target, fail)
+        art = reproduce_tables(table)
+        cols = art.columns
+        for row in art.rows:
+            assert math.isnan(row[cols.index(column)])
+            note = row[cols.index("note")]
+            assert "no resonance crossing in this cell" in note
+            assert "series-only" not in note
 
     def test_critical_mass_table_classical_column(self):
         art = reproduce_tables("table2")

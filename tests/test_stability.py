@@ -20,6 +20,7 @@ from chermnykh.errors import (
     NoResonanceError,
     NoTriangularPointsError,
 )
+from chermnykh import stability
 from chermnykh.model import SystemParams
 from chermnykh.stability import (
     CharCoefficients,
@@ -284,6 +285,52 @@ class TestCriticalMassExact:
         assert t.K == pytest.approx(4.0 / 25.0)
         w3 = (0.8**2 + 0.01**2) ** 1.5
         assert t.b2 == pytest.approx(0.02 * (1.0 + 5.0 * 0.6 * 0.2 / w3))
+
+
+class TestCriticalMassRoots:
+    """The bracketed roots behind critical_mass_exact and
+    critical_mass_resonance (stability._resonance_root)."""
+
+    FAULT = SystemParams(mu=0.025, q1=0.75, mb=0.6)
+
+    @staticmethod
+    def closed_residual(base, k, mu):
+        K, b1, b2 = resonance_terms(base, k)
+        stage = replace(base, mu=mu)
+        g = stability._g_resonance(stage, l4_of(stage))
+        return K * (b1 - 3.0 * mu * b2) ** 2 - 9.0 * mu * (1.0 - mu) * g
+
+    def test_closed_route_fault_cell_is_a_sign_change(self):
+        # at the classical mu_2, find_triangular returns L3 (y ~ 1e-12) as
+        # L4; its g ~ 1e-24 makes the closed expression's radicand negative
+        # (-14.4), so iterating that expression from there cannot go on
+        mu = critical_mass_exact(self.FAULT, 2)
+        assert 0.0 < mu <= 0.5
+        below = self.closed_residual(self.FAULT, 2, mu * (1.0 - 1e-13))
+        above = self.closed_residual(self.FAULT, 2, mu * (1.0 + 1e-13))
+        assert below > 0.0 > above
+
+    def test_closed_route_column_decreases_in_k(self):
+        mus = [critical_mass_exact(self.FAULT, k) for k in range(1, 6)]
+        assert all(a > b for a, b in zip(mus, mus[1:]))
+
+    @pytest.mark.parametrize("base", [SystemParams(), FAULT])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_hessian_route_cost(self, monkeypatch, base, k):
+        calls = []
+
+        def counted(p):
+            calls.append(p.mu)
+            return find_triangular(p)
+
+        monkeypatch.setattr(stability, "find_triangular", counted)
+        critical_mass_resonance(base, k)
+        assert len(calls) <= 15
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_no_sign_change_is_a_typed_error(self, classical, sign):
+        with pytest.raises(NoResonanceError, match="k = 2"):
+            stability._resonance_root(classical, 2, lambda stage, point: sign)
 
 
 class TestCriticalMassLinear:
