@@ -10,9 +10,11 @@ monitored at every accepted step; its drift is the primary quality
 indicator and is carried on the returned Trajectory.
 
 Zero-velocity curves are the level sets 2 Omega(x, y) = C, extracted from
-a grid by marching squares with linear edge interpolation.  Cells within
-two cells of a primary are masked: 2 Omega diverges there and linear
-interpolation is meaningless.
+a grid by marching squares with linear edge interpolation (Lorensen & Cline
+1987).  The drawn-cell mask, the case index and the vertices on crossed
+edges are computed on whole numpy arrays; Python only chains the segments
+into polylines.  The 7 x 7 cells about each primary's cell are not drawn:
+2 Omega diverges there and linear interpolation is meaningless.
 """
 
 from __future__ import annotations
@@ -292,68 +294,53 @@ def vertex_tolerance(p: SystemParams, x: float, y: float, hx: float, hy: float) 
     return 0.25 * h * h * curv + 1e-12 * (1.0 + abs(float(omega_grid(p, x, y))))
 
 
-def _mask_cells(grid: GridSpec, p: SystemParams) -> set[tuple[int, int]]:
-    """Cells within 2 cells (Chebyshev) of a primary's containing cell."""
-    masked = set()
-    for px, py in ((-p.mu, 0.0), (1.0 - p.mu, 0.0)):
-        if not (grid.xmin <= px <= grid.xmax and grid.ymin <= py <= grid.ymax):
-            continue
-        ci = int((px - grid.xmin) / grid.hx)
-        cj = int((py - grid.ymin) / grid.hy)
-        for di in range(-2, 3):
-            for dj in range(-2, 3):
-                masked.add((ci + di, cj + dj))
-    return masked
+# Cell edges for marching squares: bottom, right, top, left, each as its two
+# corners (dj, di) oriented along the grid (left to right, bottom to top), so
+# the two cells that share an edge put the same vertex on it.
+_EDGES = (((0, 0), (0, 1)), ((0, 1), (1, 1)), ((1, 0), (1, 1)), ((0, 0), (1, 0)))
+_B, _R, _T, _L = range(4)
+# Segments as (from, to) edge pairs, in emission order, keyed by the case
+# index (corner bit 1 at (i, j), 2 at (i+1, j), 4 at (i+1, j+1), 8 at
+# (i, j+1)) plus 16 where a saddle cell's average is at or above C.
+_SEGMENTS = {
+    1: ((_L, _B),), 2: ((_B, _R),), 3: ((_L, _R),), 4: ((_R, _T),),
+    6: ((_B, _T),), 7: ((_L, _T),), 8: ((_T, _L),), 9: ((_B, _T),),
+    11: ((_T, _R),), 12: ((_R, _L),), 13: ((_R, _B),), 14: ((_L, _B),),
+    5: ((_L, _B), (_R, _T)), 21: ((_L, _T), (_R, _B)),
+    10: ((_B, _R), (_T, _L)), 26: ((_B, _L), (_T, _R)),
+}
+_PAIRS = np.full((32, 2, 2), -1, dtype=np.int8)
+for _key, _pairs in _SEGMENTS.items():
+    _PAIRS[_key, : len(_pairs)] = _pairs
 
 
-def _cell_segments(f, c, i, j, xs, ys):
-    """Marching-squares segments for cell (i, j); corner order is
-    (i,j) (i+1,j) (i+1,j+1) (i,j+1)."""
-    f00, f10, f11, f01 = f[j, i], f[j, i + 1], f[j + 1, i + 1], f[j + 1, i]
-    case = (
-        (1 if f00 >= c else 0)
-        | (2 if f10 >= c else 0)
-        | (4 if f11 >= c else 0)
-        | (8 if f01 >= c else 0)
-    )
-    if case in (0, 15):
-        return []
+def _march(f, c, keep, xs, ys):
+    """Marching-squares segments of the level c over the cells whose four
+    corners are in keep: cells in row-major (j, i) order, each cell's
+    segments in _SEGMENTS order.  The case index and the edge
+    interpolation run on whole arrays."""
+    h = (f >= c).view(np.uint8)
+    case = h[:-1, :-1] | h[:-1, 1:] << 1 | h[1:, 1:] << 2 | h[1:, :-1] << 3
+    drawn = keep[:-1, :-1] & keep[:-1, 1:] & keep[1:, 1:] & keep[1:, :-1]
+    j, i = np.nonzero(drawn & (case != 0) & (case != 15))
+    key = case[j, i].astype(np.intp)
+    s = (key == 5) | (key == 10)
+    f00, f10, f11, f01 = (f[j[s] + dj, i[s] + di] for dj, di in ((0, 0), (0, 1), (1, 1), (1, 0)))
+    key[s] += 16 * (0.25 * (f00 + f10 + f11 + f01) >= c)
 
-    def interp(xa, ya, fa, xb, yb, fb):
-        t = 0.5 if fb == fa else (c - fa) / (fb - fa)
-        return (xa + t * (xb - xa), ya + t * (yb - ya))
+    verts = np.empty((4, key.size, 2))
+    for e, ((ja, ia), (jb, ib)) in enumerate(_EDGES):
+        on = h[j + ja, i + ia] != h[j + jb, i + ib]
+        jo, io = j[on], i[on]
+        fa, fb = f[jo + ja, io + ia], f[jo + jb, io + ib]
+        t = (c - fa) / (fb - fa)  # exactly one end is >= c, so fb != fa
+        verts[e, on, 0] = xs[io + ia] + t * (xs[io + ib] - xs[io + ia])
+        verts[e, on, 1] = ys[jo + ja] + t * (ys[jo + jb] - ys[jo + ja])
 
-    x0, x1 = xs[i], xs[i + 1]
-    y0, y1 = ys[j], ys[j + 1]
-    bottom = lambda: interp(x0, y0, f00, x1, y0, f10)
-    right = lambda: interp(x1, y0, f10, x1, y1, f11)
-    top = lambda: interp(x0, y1, f01, x1, y1, f11)
-    left = lambda: interp(x0, y0, f00, x0, y1, f01)
-
-    table = {
-        1: [(left, bottom)],
-        2: [(bottom, right)],
-        3: [(left, right)],
-        4: [(right, top)],
-        6: [(bottom, top)],
-        7: [(left, top)],
-        8: [(top, left)],
-        9: [(bottom, top)],
-        11: [(top, right)],
-        12: [(right, left)],
-        13: [(right, bottom)],
-        14: [(left, bottom)],
-    }
-    if case in (5, 10):
-        # saddle cell: pair by the cell-average rule
-        avg_high = 0.25 * (f00 + f10 + f11 + f01) >= c
-        if case == 5:
-            pairs = [(left, top), (right, bottom)] if avg_high else [(left, bottom), (right, top)]
-        else:
-            pairs = [(bottom, left), (top, right)] if avg_high else [(bottom, right), (top, left)]
-    else:
-        pairs = table[case]
-    return [(a(), b()) for a, b in pairs]
+    pairs = _PAIRS[key]
+    cell = np.arange(key.size)[:, None]
+    seg = np.concatenate((verts[pairs[..., 0], cell], verts[pairs[..., 1], cell]), axis=2)
+    return [((ax, ay), (bx, by)) for ax, ay, bx, by in seg[pairs[..., 0] >= 0].tolist()]
 
 
 def _chain(segments):
@@ -423,15 +410,14 @@ def zvc_contours(
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny)
     f = omega_grid(p, xs[None, :], ys[:, None])
-    masked = _mask_cells(grid, p)
-
     keep = np.isfinite(f)
-    for ci, cj in masked:
-        for di in (0, 1):
-            for dj in (0, 1):
-                ii, jj = ci + di, cj + dj
-                if 0 <= ii < nx and 0 <= jj < ny:
-                    keep[jj, ii] = False
+    for px in (-p.mu, 1.0 - p.mu):
+        # blank the corners of the 5 x 5 cells about the primary's cell, so
+        # that no cell of the 7 x 7 block about it is drawn
+        if xmin <= px <= xmax and ymin <= 0.0 <= ymax:
+            ci = int((px - xmin) / grid.hx)
+            cj = int((0.0 - ymin) / grid.hy)
+            keep[max(cj - 2, 0) : cj + 4, max(ci - 2, 0) : ci + 4] = False
     fmin = float(np.nanmin(np.where(keep, f, np.nan)))
     if c < fmin:
         return ContourSet(
@@ -445,13 +431,5 @@ def zvc_contours(
             ),
         )
 
-    segments = []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            if (i, j) in masked:
-                continue
-            if not (keep[j, i] and keep[j, i + 1] and keep[j + 1, i] and keep[j + 1, i + 1]):
-                continue
-            segments.extend(_cell_segments(f, c, i, j, xs, ys))
-    lines = _chain(segments)
+    lines = _chain(_march(f, c, keep, xs, ys))
     return ContourSet(c, tuple(tuple(line) for line in lines), grid)

@@ -292,6 +292,15 @@ class TestFindTriangular:
             refined, _ = find_triangular(p)
             assert math.hypot(seed.x - refined.x, seed.y - refined.y) <= 1e-12
 
+    def test_seed_landing_on_the_axis_falls_to_continuation(self):
+        # Newton from the closed-form seed stops 1.2e-12 above L3 here, just
+        # past the 1e-12 snap to the axis
+        l4, l5 = find_triangular(SystemParams(mu=0.024293897142052323, q1=0.75, mb=0.6))
+        near, _ = find_triangular(SystemParams(mu=0.025, q1=0.75, mb=0.6))
+        assert l4.kind == "L4" and l4.y > 0.5 and l5.y == -l4.y
+        assert math.hypot(l4.x - near.x, l4.y - near.y) <= 1e-2
+        assert l4.residual <= 1e-12
+
     def test_analytic_gap_quadratic_in_belt_mass(self):
         def gap(mb):
             p = SystemParams(mu=0.025, mb=mb)
