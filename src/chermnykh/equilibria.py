@@ -34,9 +34,7 @@ from -inf to +inf across each free interval, so the outer ones hold L3
 and L2, and the middle one holds L1 alone or three roots crossing up,
 down and up: Xb2, Xb1 and L1.  A sufficiently massive, sufficiently
 concentrated belt adds that saddle/centre pair (Xb2, Xb1).  For q1 <= 0
-the bigger primary has no attracting pole, and no labelling exists.  An
-upward crossing with no belt, or right of the belt core |x| < T/sqrt(2),
-is L1 without a scan (_plainly_l1).
+the bigger primary has no attracting pole, and no labelling exists.
 
 The triangular pair is seeded from closed-form radii and finished with a
 2-D Newton iteration on the full gradient; where the seed does not exist
@@ -403,34 +401,23 @@ def refine_equilibrium(p: SystemParams, guess) -> EquilibriumPoint:
             break
     else:
         raise ConvergenceError("no convergence within 50 iterations", trace)
-    if abs(y) <= 1e-12:
-        y = 0.0  # collinear points carry y = 0 exactly
+    # Newton cannot tell the axis point under (x, y) from a y within 1e-12
+    # of the axis or one whose pull Omega_yy * y (Omega_yy of the last step)
+    # is below its 1e-13 residual test; collinear points carry y = 0 exactly
+    if it == 0:
+        oyy = omega_hessian(p, x, y)[2]
+    if abs(y) <= 1e-12 or abs(y * oyy) <= 1e-13:
+        y = 0.0
     return _point(p, _positional_kind(p, x, y), x, y)
-
-
-def _plainly_l1(p: SystemParams, x: float) -> bool:
-    """Whether an axis root at x is L1 without a scan: it crosses upward
-    between the primaries (q1 > 0, Omega_xx > 0), and no downward crossing,
-    an Xb1, can lie to its right.  That needs Omega_xx < 0, which only the
-    belt core |x| < T/sqrt(2) gives."""
-    return (
-        p.q1 > 0.0
-        and -p.mu < x < 1.0 - p.mu
-        and (p.mb == 0.0 or x >= p.t_belt / math.sqrt(2.0))
-        and omega_hessian(p, x, 0.0)[0] > 0.0
-    )
 
 
 def _positional_kind(p: SystemParams, x: float, y: float) -> str:
     """L4 or L5 off the axis; on it, the label _axis_labels gives the
-    nearest root of the axis scan, as in find_collinear, or L1 at once
-    where _plainly_l1 holds."""
+    nearest root of the axis scan, as in find_collinear."""
     if y > 1e-12:
         return "L4"
     if y < -1e-12:
         return "L5"
-    if _plainly_l1(p, x):
-        return "L1"
     return min(_axis_labels(p, _axis_roots(p)), key=lambda kx: abs(kx[1] - x))[0]
 
 
@@ -526,14 +513,12 @@ def find_triangular(p: SystemParams) -> tuple[EquilibriumPoint, EquilibriumPoint
     """Refined triangular pair; L5 is constructed as the exact mirror of L4
     (the potential is even in y, so the reflection is an identity, not an
     approximation).  The closed-form seed is tried first; where it does
-    not exist, Newton leaves its basin, or Newton ends within its tolerance
-    of the axis, the continuation from the classical problem decides."""
+    not exist or Newton leaves its basin, the continuation from the
+    classical problem decides."""
     try:
         seed, _ = triangular_analytic(p)
         l4 = refine_equilibrium(p, seed)
-        # Newton stops at a gradient of 1e-13, so it cannot tell a y whose
-        # pull Omega_yy * y is below that from the axis point under it
-        if l4.kind != "L4" or abs(l4.y * omega_hessian(p, l4.x, l4.y)[2]) <= 1e-13:
+        if l4.kind != "L4":
             raise ConvergenceError("refinement left the upper half-plane", [])
     except (NumericalError, NoTriangularPointsError):
         # no closed-form seed, or one outside the Newton basin or leading

@@ -11,12 +11,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chermnykh import equilibria
 from chermnykh.equilibria import (
     FOLD_WIDTH,
     PRIMARY_GAP,
     X_MAX,
-    _plainly_l1,
     find_collinear,
     fprime_bounds,
     refine_equilibrium,
@@ -237,35 +235,6 @@ def test_whole_box_points_are_right_or_the_error_is_true(p):
         except DomainError as exc:
             # b and d reach (M_b / T^3)^2 in the core of a very thin belt
             assert "overflow" in str(exc) and p.t_belt < 1e-45
-
-
-@settings(max_examples=200)
-@given(whole_box)
-def test_plain_l1_shortcut_agrees_with_the_scan(p):
-    points, _ = _outcome(find_collinear, p)
-    for e in points or ():
-        if _plainly_l1(p, e.x):
-            assert e.kind == "L1"
-
-
-def test_plain_l1_takes_no_scan(monkeypatch):
-    # L1 near x = 0.524 with the inner pair present, where a table2
-    # continuation lands; the classical L1; a thick belt's L1
-    cases = (
-        SystemParams(mu=0.1587, q1=0.5, mb=0.6),
-        CLASSICAL,
-        SystemParams(mu=0.3, q1=0.8, a2=0.05, mb=1.2, t_belt=0.2),
-    )
-    l1 = [next(e for e in find_collinear(p) if e.kind == "L1") for p in cases]
-
-    def no_scan(p):
-        raise AssertionError("scanned the axis")
-
-    monkeypatch.setattr(equilibria, "scan_collinear", no_scan)
-    for p, e in zip(cases, l1):
-        assert _plainly_l1(p, e.x)
-        again = refine_equilibrium(p, (e.x, 1e-9))
-        assert again.kind == "L1" and again.y == 0.0
 
 
 def test_thin_belt_is_warning_free():

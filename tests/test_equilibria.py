@@ -137,11 +137,14 @@ class TestFindCollinear:
     def test_point_mass_belt_is_a_domain_error(self):
         # t_belt = 0 puts the whole belt at the origin: a singular point of
         # the axis force, not a root pattern more samples could resolve
+        p = SystemParams(mu=0.025, mb=0.2, t_belt=0.0)
         with pytest.raises(DomainError) as info:
-            find_collinear(SystemParams(mu=0.025, mb=0.2, t_belt=0.0))
+            find_collinear(p)
         msg = str(info.value)
         assert "mb" in msg and "t_belt" in msg
         assert "increase samples" not in msg
+        with pytest.raises(DomainError):
+            refine_equilibrium(p, (0.75, 0.0))  # no axis label either
 
     def test_inner_pair_about_the_origin_labelled_by_crossing(self):
         # at mu = 1/2, f(0) = 0: the belt pair straddles the origin, with
@@ -293,9 +296,13 @@ class TestFindTriangular:
             assert math.hypot(seed.x - refined.x, seed.y - refined.y) <= 1e-12
 
     def test_seed_landing_on_the_axis_falls_to_continuation(self):
-        # Newton from the closed-form seed stops 1.2e-12 above L3 here, just
-        # past the 1e-12 snap to the axis
-        l4, l5 = find_triangular(SystemParams(mu=0.024293897142052323, q1=0.75, mb=0.6))
+        # Newton from the closed-form seed stops 1.2e-12 above L3 here, where
+        # Omega_yy * y is below its 1e-13 residual test: refinement puts the
+        # point on the axis, and the continuation finds L4
+        p = SystemParams(mu=0.024293897142052323, q1=0.75, mb=0.6)
+        on_axis = refine_equilibrium(p, triangular_analytic(p)[0])
+        assert on_axis.kind == "L3" and on_axis.y == 0.0
+        l4, l5 = find_triangular(p)
         near, _ = find_triangular(SystemParams(mu=0.025, q1=0.75, mb=0.6))
         assert l4.kind == "L4" and l4.y > 0.5 and l5.y == -l4.y
         assert math.hypot(l4.x - near.x, l4.y - near.y) <= 1e-2
