@@ -349,6 +349,8 @@ def _fmt(v) -> str:
 def _jnum(v):
     """JSON cell: numbers re-rounded to the documented precision; NaN
     becomes null so the emitted text stays standard JSON."""
+    if type(v) is float:  # nearly every cell: skip the isinstance chain
+        return None if v != v else float(f"{v:.12g}")
     if v is None or isinstance(v, str):
         return v
     if isinstance(v, (int, bool)):

@@ -5,9 +5,12 @@ Equations of motion:
     x'' - 2n y' = Omega_x,    y'' + 2n x' = Omega_y,
 
 integrated as a first-order system with an embedded Dormand-Prince 5(4)
-pair (FSAL, PI step controller).  The Jacobi constant C = 2 Omega - v^2 is
-monitored at every accepted step; its drift is the primary quality
-indicator and is carried on the returned Trajectory.
+pair (FSAL, PI step controller).  The step is written out per component
+on plain floats; each of its six new stages calls the guarded omega_grad
+through _rhs, the one copy of the equations of motion.  The Jacobi
+constant C = 2 Omega - v^2 is monitored at every accepted step; its drift
+is the primary quality indicator and is carried on the returned
+Trajectory.
 
 Zero-velocity curves are the level sets 2 Omega(x, y) = C, extracted from
 a grid by marching squares with linear edge interpolation (Lorensen & Cline
@@ -29,19 +32,6 @@ from .equilibria import EquilibriumPoint, require_refined
 from .errors import DomainError, IntegrationError, SingularPointError
 from .model import RotState, SystemParams, jacobi_constant, omega_grad, omega_grid
 
-# Dormand-Prince 5(4) tableau.
-_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-_E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
-
 _H_INIT = 1e-3
 _SAFETY = 0.9
 
@@ -54,20 +44,80 @@ def _rhs(p: SystemParams, s: tuple) -> tuple:
 
 
 def _dp_step(p: SystemParams, s: tuple, h: float, k1: tuple):
-    """One embedded step from s with derivative k1; returns (s_new, k7,
-    error_estimate).  k7 doubles as the next step's k1 (FSAL)."""
+    """One embedded Dormand-Prince 5(4) step from s with derivative k1;
+    returns (s_new, k7, error_estimate).  k7 doubles as the next step's k1
+    (FSAL).
 
-    def lin(coeffs, ks):
-        return tuple(
-            s[i] + h * sum(c * k[i] for c, k in zip(coeffs, ks)) for i in range(4)
-        )
-
-    ks = [k1]
-    for row in _A:
-        ks.append(_rhs(p, lin(row, ks)))
-    s_new = lin(_A[-1], ks[:-1])  # row 7 equals the 5th-order weights
-    err = tuple(h * sum(e * k[i] for e, k in zip(_E, ks)) for i in range(4))
-    return s_new, ks[-1], err
+    The tableau (Dormand & Prince 1980) is written out per component on
+    plain floats: (x, y, u, v) is the state, a_j, b_j, c_j, d_j are the
+    components of the derivative at stage j, and e_j = b5_j - b4_j are the
+    error weights.  Each weighted sum adds its terms left to right in
+    tableau order and leaves out the terms of weight 0 (stage 2 in the last
+    row and in the error weights).  Against a loop over the tableau that
+    sums with ``sum()``, which starts from 0 and adds those terms too, that
+    can change only the sign of a zero; the tests hold s_new, k7 and the
+    error estimate to such a loop bit for bit, zeros of both signs and
+    subnormal components included.  Stage 7 is taken at the 5th-order
+    solution s_new.
+    """
+    x, y, u, v = s
+    a1, b1, c1, d1 = k1
+    e1, e3, e4, e5, e6, e7 = (
+        35 / 384 - 5179 / 57600, 500 / 1113 - 7571 / 16695, 125 / 192 - 393 / 640,
+        -2187 / 6784 + 92097 / 339200, 11 / 84 - 187 / 2100, -1 / 40,
+    )
+    a2, b2, c2, d2 = _rhs(p, (
+        x + h * (1 / 5 * a1),
+        y + h * (1 / 5 * b1),
+        u + h * (1 / 5 * c1),
+        v + h * (1 / 5 * d1),
+    ))
+    a3, b3, c3, d3 = _rhs(p, (
+        x + h * (3 / 40 * a1 + 9 / 40 * a2),
+        y + h * (3 / 40 * b1 + 9 / 40 * b2),
+        u + h * (3 / 40 * c1 + 9 / 40 * c2),
+        v + h * (3 / 40 * d1 + 9 / 40 * d2),
+    ))
+    a4, b4, c4, d4 = _rhs(p, (
+        x + h * (44 / 45 * a1 - 56 / 15 * a2 + 32 / 9 * a3),
+        y + h * (44 / 45 * b1 - 56 / 15 * b2 + 32 / 9 * b3),
+        u + h * (44 / 45 * c1 - 56 / 15 * c2 + 32 / 9 * c3),
+        v + h * (44 / 45 * d1 - 56 / 15 * d2 + 32 / 9 * d3),
+    ))
+    a5, b5, c5, d5 = _rhs(p, (
+        x + h * (19372 / 6561 * a1 - 25360 / 2187 * a2 + 64448 / 6561 * a3 - 212 / 729 * a4),
+        y + h * (19372 / 6561 * b1 - 25360 / 2187 * b2 + 64448 / 6561 * b3 - 212 / 729 * b4),
+        u + h * (19372 / 6561 * c1 - 25360 / 2187 * c2 + 64448 / 6561 * c3 - 212 / 729 * c4),
+        v + h * (19372 / 6561 * d1 - 25360 / 2187 * d2 + 64448 / 6561 * d3 - 212 / 729 * d4),
+    ))
+    a6, b6, c6, d6 = _rhs(p, (
+        x + h * (9017 / 3168 * a1 - 355 / 33 * a2 + 46732 / 5247 * a3 + 49 / 176 * a4
+                 - 5103 / 18656 * a5),
+        y + h * (9017 / 3168 * b1 - 355 / 33 * b2 + 46732 / 5247 * b3 + 49 / 176 * b4
+                 - 5103 / 18656 * b5),
+        u + h * (9017 / 3168 * c1 - 355 / 33 * c2 + 46732 / 5247 * c3 + 49 / 176 * c4
+                 - 5103 / 18656 * c5),
+        v + h * (9017 / 3168 * d1 - 355 / 33 * d2 + 46732 / 5247 * d3 + 49 / 176 * d4
+                 - 5103 / 18656 * d5),
+    ))
+    s_new = (
+        x + h * (35 / 384 * a1 + 500 / 1113 * a3 + 125 / 192 * a4 - 2187 / 6784 * a5
+                 + 11 / 84 * a6),
+        y + h * (35 / 384 * b1 + 500 / 1113 * b3 + 125 / 192 * b4 - 2187 / 6784 * b5
+                 + 11 / 84 * b6),
+        u + h * (35 / 384 * c1 + 500 / 1113 * c3 + 125 / 192 * c4 - 2187 / 6784 * c5
+                 + 11 / 84 * c6),
+        v + h * (35 / 384 * d1 + 500 / 1113 * d3 + 125 / 192 * d4 - 2187 / 6784 * d5
+                 + 11 / 84 * d6),
+    )
+    a7, b7, c7, d7 = k7 = _rhs(p, s_new)
+    err = (
+        h * (e1 * a1 + e3 * a3 + e4 * a4 + e5 * a5 + e6 * a6 + e7 * a7),
+        h * (e1 * b1 + e3 * b3 + e4 * b4 + e5 * b5 + e6 * b6 + e7 * b7),
+        h * (e1 * c1 + e3 * c3 + e4 * c4 + e5 * c5 + e6 * c6 + e7 * c7),
+        h * (e1 * d1 + e3 * d3 + e4 * d4 + e5 * d5 + e6 * d6 + e7 * d7),
+    )
+    return s_new, k7, err
 
 
 @dataclass(frozen=True)
@@ -90,6 +140,10 @@ class Trajectory:
 
     @property
     def final(self) -> RotState:
+        """The last sample.  A trajectory that stopped before its first
+        requested sample time holds none, and has no final state."""
+        if not self.samples:
+            raise DomainError(f"trajectory holds no samples (status {self.status})")
         return self.samples[-1]
 
 
@@ -184,25 +238,30 @@ def integrate(
             raise IntegrationError(
                 "state became non-finite", RotState(*s, t=t), t
             )
-        sc = [tol + tol * max(abs(s[i]), abs(s_new[i])) for i in range(4)]
-        en = math.sqrt(sum((err[i] / sc[i]) ** 2 for i in range(4)) / 4.0)
+        en = math.sqrt((
+            (err[0] / (tol + tol * max(abs(s[0]), abs(s_new[0])))) ** 2
+            + (err[1] / (tol + tol * max(abs(s[1]), abs(s_new[1])))) ** 2
+            + (err[2] / (tol + tol * max(abs(s[2]), abs(s_new[2])))) ** 2
+            + (err[3] / (tol + tol * max(abs(s[3]), abs(s_new[3])))) ** 2
+        ) / 4.0)
         if en <= 1.0:
             t_prev, s_prev, k_prev = t, s, k1
             t, s, k1 = t + h, s_new, k7
             n_acc += 1
+            state = RotState(s[0], s[1], s[2], s[3], t)
             try:
-                drift = abs(jacobi_constant(p, RotState(*s, t=t)) - c0) / abs(c0)
+                drift = abs(jacobi_constant(p, state) - c0) / abs(c0)
             except SingularPointError:
                 status = "close-encounter"
                 break
             except OverflowError:
                 raise IntegrationError(
-                    "state left the representable range", RotState(*s, t=t), t
+                    "state left the representable range", state, t
                 ) from None
             if drift > max_drift:
                 max_drift = drift
             if sample_times is None:
-                emit(t, s)
+                samples.append(state)
             else:
                 while si < len(sample_times) and sample_times[si] <= t:
                     ts = sample_times[si]

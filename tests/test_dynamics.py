@@ -247,6 +247,15 @@ class TestFailureModes:
         assert len(traj.samples) >= 1
         assert traj.final.t < 1.0
 
+    def test_final_of_an_empty_trajectory_is_a_domain_error(self):
+        # the close encounter comes before the first requested time, so no
+        # sample is taken
+        p = CLASSICAL
+        traj = integrate(p, (1 - p.mu + 1e-4, 0.0, 0.0, 0.0), 5.0, sample_times=[4.0, 5.0])
+        assert traj.status == "close-encounter" and traj.samples == ()
+        with pytest.raises(DomainError, match="no samples.*close-encounter"):
+            traj.final
+
     def test_initial_state_on_primary_rejected(self):
         p = CLASSICAL
         with pytest.raises(Exception):
@@ -426,6 +435,22 @@ class TestZeroVelocityCurves:
 def test_drift_bound_holds_near_l4(dx, dy, v):
     pt, _ = find_triangular(CLASSICAL)
     traj = integrate(CLASSICAL, (pt.x + dx, pt.y + dy, v, 0.0), 5.0, tol=1e-11)
+    assert traj.status == "completed"
+    assert traj.max_drift <= 1e-9
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    mu=st.floats(0.002, 0.011),
+    q1=st.floats(0.9, 1.0),
+    a2=st.floats(0.0, 0.01),
+    mb=st.floats(0.0, 0.1),
+)
+def test_drift_bound_holds_near_l4_over_the_orbits_box(mu, q1, a2, mb):
+    # the parameter box of the benchmark's L4 orbits, with the perturbations on
+    p = SystemParams(mu=mu, q1=q1, a2=a2, mb=mb, t_belt=0.01)
+    pt, _ = find_triangular(p)
+    traj = integrate(p, (pt.x + 1e-4, pt.y, 0.0, 0.0), 5.0, tol=1e-11)
     assert traj.status == "completed"
     assert traj.max_drift <= 1e-9
 
