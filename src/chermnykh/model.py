@@ -53,7 +53,7 @@ BELT_CENTRE = f"belt centre (origin, with t_belt = 0 or below {THIN_BELT:g})"
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Immutable parameter set; n^2 is computed once and cached.
+    """Immutable parameter set; n^2 and n are computed once and cached.
 
     Attributes:
         mu: mass ratio of the smaller primary, 0 < mu <= 1/2.
@@ -73,6 +73,7 @@ class SystemParams:
     t_belt: float = 0.01
     rc: float = 0.8
     n2: float = field(init=False, repr=False, compare=False)
+    n: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.mu <= 0.5:
@@ -104,14 +105,7 @@ class SystemParams:
             + 1.5 * self.a2
             + 2.0 * self.mb * self.rc / (self.rc**2 + self.t_belt**2) ** 1.5,
         )
-
-    @property
-    def n(self) -> float:
-        return math.sqrt(self.n2)
-
-    def primaries(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """Rotating-frame coordinates of (bigger, smaller) primary."""
-        return (-self.mu, 0.0), (1.0 - self.mu, 0.0)
+        object.__setattr__(self, "n", math.sqrt(self.n2))
 
 
 @dataclass(frozen=True)

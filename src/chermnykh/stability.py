@@ -8,9 +8,10 @@ The variational system about an equilibrium has the block form
 
 whose characteristic polynomial is the even quartic l^4 + b l^2 + d with
 b = 4n^2 - Oxx - Oyy and d = Oxx Oyy - Oxy^2.  That Hessian route is the
-normative one here; the published closed forms for b (via f*) and d (via
-the y*^2 bracket) are evaluated separately for cross-checks, since their
-belt terms deviate from the Hessian at first order in mb.
+normative one: char_coeffs and classify use nothing else.  The published
+closed forms, f* (_f_star) and the y*^2 bracket g (_g_bracket), are each
+written once and serve only as cross-checks, since their belt terms
+deviate from the Hessian at first order in mb.
 
 Critical mass ratios mu_k mark the k:1 frequency resonances omega1 = k
 omega2 of the triangular points.  Three routes are provided: the published
@@ -62,13 +63,13 @@ RESONANCE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CharCoefficients:
-    """Quartic coefficients plus the closed-form auxiliaries: f_star is the
-    f* combination of inverse-cube attractions, g the y*^2 resonance bracket
-    (triangular points only, else None)."""
+    """Quartic coefficients.  Only the published closed forms fill the
+    auxiliaries: f_star, the f* combination of inverse-cube attractions,
+    and g, the y*^2 resonance bracket."""
 
     b: float
     d: float
-    f_star: float
+    f_star: float | None = None
     g: float | None = None
 
     def __post_init__(self):
@@ -119,19 +120,21 @@ def linear_system(p: SystemParams, e: EquilibriumPoint) -> np.ndarray:
     )
 
 
-def _f_star(p: SystemParams, x: float, y: float, r1: float, r2: float) -> float:
+def _f_star(p: SystemParams, x, y, r1, r2):
+    # floats or numpy arrays, with model.kernel's choice of square root
     w = x * x + y * y + p.t_belt**2
+    root = math.sqrt if type(w) is float else np.sqrt
     return (
         (1.0 - p.mu) * p.q1 / r1**3
         + (p.mu / r2**3) * (1.0 + 1.5 * p.a2 / r2**2)
         # one factor of w at a time: w^2.5 underflows in a belt core for T < 1e-65
-        + (3.0 * p.mb / w / w / math.sqrt(w) if p.mb else 0.0)
+        + (3.0 * p.mb / w / w / root(w) if p.mb else 0.0)
     )
 
 
-def _g_bracket(p: SystemParams, x: float, y: float, r1: float, r2: float) -> float:
-    # y^2 multiplies the whole bracket, belt sub-terms included
-    w = x * x + y * y + p.t_belt**2
+def _g_bracket(p: SystemParams, x: float, y: float, r1: float, r2: float, w: float) -> float:
+    # w = r^2 + T^2 sets the belt term's radius; y^2 multiplies the whole
+    # bracket, belt sub-terms included
     return (y * y) * (
         p.q1 / (r1**5 * r2**5)
         + (3.0 * p.mb / w**2.5)
@@ -148,14 +151,14 @@ def char_coeffs(p: SystemParams, e: EquilibriumPoint) -> CharCoefficients:
     oxx, oxy, oyy = omega_hessian(p, e.x, e.y)
     b = 4.0 * p.n2 - oxx - oyy
     d = oxx * oyy - oxy * oxy
-    if not (math.isfinite(b) and math.isfinite(d)):
+    if not math.isfinite(b * b - 4.0 * d):
         # a point in the core of a belt thinner than ~1e-50: Omega_xx and
-        # Omega_yy reach M_b / T^3, and their product leaves double range
+        # Omega_yy reach M_b / T^3, and b^2 and their product d leave
+        # double range, so classify could not tell the sign of b^2 - 4d
         raise DomainError(
             f"characteristic coefficients overflow at {e.kind} (b = {b:.3g}, d = {d:.3g})"
         )
-    g = _g_bracket(p, e.x, e.y, e.r1, e.r2) if e.is_triangular else None
-    return CharCoefficients(b, d, _f_star(p, e.x, e.y, e.r1, e.r2), g)
+    return CharCoefficients(b, d)
 
 
 def char_coeffs_paper_triangular(
@@ -169,7 +172,7 @@ def char_coeffs_paper_triangular(
         raise DomainError(
             f"closed triangular forms are undefined for kind {e.kind!r}"
         )
-    w = e.x**2 + e.y**2 + p.t_belt**2
+    w = e.x * e.x + e.y * e.y + p.t_belt**2
     fs = _f_star(p, e.x, e.y, e.r1, e.r2)
     b = (
         2.0 * p.n2
@@ -177,7 +180,7 @@ def char_coeffs_paper_triangular(
         - 3.0 * p.mu * p.a2 / e.r2**5
         + 3.0 * p.mb * p.t_belt**2 / w**2.5
     )
-    g = _g_bracket(p, e.x, e.y, e.r1, e.r2)
+    g = _g_bracket(p, e.x, e.y, e.r1, e.r2, w)
     d = 9.0 * p.mu * (1.0 - p.mu) * g
     return CharCoefficients(b, d, fs, g)
 
@@ -235,51 +238,43 @@ def _frequencies(b: float, d: float) -> tuple[float, float] | None:
 def classify(p: SystemParams, e: EquilibriumPoint) -> StabilityReport:
     """Stability category of a refined equilibrium.
 
-    d < 0 gives a real positive root (saddle); on the stable side
-    (b > 0, 0 < 4d < b^2) the point is LinearlyStable unless the
-    frequencies sit on a k:1 commensurability for k in {1, 2, 3}, which is
-    flagged Marginal-Resonant; 4d > b^2 gives the complex quartet.
+    4d > b^2 gives the complex quartet.  On the stable side (b > 0,
+    0 < 4d <= b^2) the point is LinearlyStable unless the frequencies sit on
+    a k:1 commensurability for k in {1, 2, 3}, which is flagged
+    Marginal-Resonant; 4d = b^2 repeats the frequency, so k = 1.  Anything
+    else (d <= 0, or b <= 0) has a real non-negative l^2: Unstable-RealRoot.
     """
     c = char_coeffs(p, e)
     roots = char_roots(c)
-    disc = c.b * c.b - 4.0 * c.d
-    omega1 = omega2 = None
-    resonance_k = None
-    if c.d < 0.0:
+    omega1 = omega2 = resonance_k = None
+    if c.d > 0.0 and c.b * c.b - 4.0 * c.d < 0.0:
+        category = UNSTABLE_QUARTET
+    elif (freqs := _frequencies(c.b, c.d)) is None:
         category = UNSTABLE_REAL
-    elif c.b > 0.0 and c.d > 0.0 and disc > 0.0:
-        omega1, omega2 = _frequencies(c.b, c.d)
+    else:
+        omega1, omega2 = freqs
         category = LINEARLY_STABLE
         for k in (1, 2, 3):
             if abs(omega1 - k * omega2) <= RESONANCE_TOL:
                 category = MARGINAL_RESONANT
                 resonance_k = k
                 break
-    elif c.d > 0.0 and disc < 0.0:
-        category = UNSTABLE_QUARTET
-    elif c.b > 0.0 and c.d > 0.0:  # disc == 0: exactly repeated frequencies
-        omega1 = omega2 = math.sqrt(c.b / 2.0)
-        category = MARGINAL_RESONANT
-        resonance_k = 1
-    else:
-        # d == 0 (secular zero root) or b <= 0 (a positive real l^2)
-        category = UNSTABLE_REAL
     return StabilityReport(e, c, roots, category, omega1, omega2, resonance_k)
 
 
 def collinear_f_star(p: SystemParams, x):
     """Published axis profile f(x) whose f > 1 excess signals instability
-    of the collinear points.  Accepts scalars or arrays."""
+    of the collinear points.  Accepts scalars or arrays.  Raises DomainError
+    where f* leaves double range: about 3 M_b / T^5 in the core of a belt
+    thinner than 1e-62."""
     x = np.asarray(x, dtype=float)
     check_regular(p, x, 0.0)
-    s = np.abs(x + p.mu)
-    u = np.abs(x + p.mu - 1.0)
-    w = x * x + p.t_belt**2
-    val = (
-        (1.0 - p.mu) * p.q1 / s**3
-        + (p.mu / u**3) * (1.0 + 1.5 * p.a2 / u**2)
-        + (3.0 * p.mb / w**2.5 if p.mb else 0.0)
-    )
+    with np.errstate(over="ignore"):
+        val = _f_star(p, x, 0.0, np.abs(x + p.mu), np.abs(x + p.mu - 1.0))
+    finite = np.isfinite(val)
+    if not np.all(finite):
+        bad = float(x[~finite].flat[0])
+        raise DomainError(f"f* leaves double range at x = {bad:.6g}")
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -292,20 +287,6 @@ def resonance_terms(p: SystemParams, k: int) -> ResonanceTerms:
     b1 = p.n2 + 2.0 * p.rc * p.mb / w3 + 3.0 * p.mb * p.t_belt**2 / w5
     b2 = p.a2 * (1.0 + 5.0 * (2.0 * p.rc - 1.0) * p.mb / w3)
     return ResonanceTerms(K, b1, b2)
-
-
-def _g_resonance(p: SystemParams, e: EquilibriumPoint) -> float:
-    # same bracket as _g_bracket but with the belt radius frozen at rc,
-    # matching the r = rc convention of the closed mu_k expression
-    w5 = (p.rc**2 + p.t_belt**2) ** 2.5
-    return (e.y * e.y) * (
-        p.q1 / (e.r1**5 * e.r2**5)
-        + (3.0 * p.mb / w5)
-        * (
-            p.mu * p.q1 / e.r1**5
-            + (1.0 - p.mu) * (1.0 + 2.5 * p.a2 / e.r2**2) / e.r2**5
-        )
-    )
 
 
 def classical_resonance_mu(k: int) -> float:
@@ -359,9 +340,11 @@ def critical_mass_exact(base: SystemParams, k: int) -> float:
     closed classical value.  base's own mu is ignored.
     """
     K, b1, b2 = resonance_terms(base, k)
+    # the belt radius frozen at rc, the r = rc convention of the closed form
+    w_rc = base.rc**2 + base.t_belt**2
 
     def residual(stage: SystemParams, point: EquilibriumPoint) -> float:
-        mu, g = stage.mu, _g_resonance(stage, point)
+        mu, g = stage.mu, _g_bracket(stage, point.x, point.y, point.r1, point.r2, w_rc)
         return K * (b1 - 3.0 * mu * b2) ** 2 - 9.0 * mu * (1.0 - mu) * g
 
     return _resonance_root(base, k, residual)

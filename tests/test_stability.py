@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chermnykh.equilibria import find_collinear, find_triangular, refine_equilibrium
+from chermnykh.equilibria import find_all, find_collinear, find_triangular, refine_equilibrium
 from chermnykh.errors import (
     DomainError,
     NoResonanceError,
     NoTriangularPointsError,
+    NumericalError,
 )
 from chermnykh import stability
 from chermnykh.model import SystemParams
@@ -43,6 +44,12 @@ from chermnykh.stability import (
 )
 
 from conftest import CLASSICAL
+from legacy_stability import (
+    legacy_classify,
+    legacy_collinear_f_star,
+    legacy_decision,
+    legacy_g_resonance,
+)
 
 
 def l4_of(p):
@@ -61,11 +68,13 @@ def assert_roots_match(xs, ys, tol):
 
 class TestCharCoefficients:
     def test_classical_identities(self, classical):
-        c = char_coeffs(classical, l4_of(classical))
+        e = l4_of(classical)
+        c = char_coeffs(classical, e)
         assert c.b == pytest.approx(1.0, abs=1e-13)
         assert c.d == pytest.approx(27.0 / 4.0 * 0.025 * 0.975, abs=1e-13)
-        assert c.f_star == pytest.approx(1.0, abs=1e-13)
-        assert c.g == pytest.approx(0.75, abs=1e-13)
+        cp = char_coeffs_paper_triangular(classical, e)
+        assert cp.f_star == pytest.approx(1.0, abs=1e-13)
+        assert cp.g == pytest.approx(0.75, abs=1e-13)
 
     def test_reduced_radiation_d(self):
         # d = 9 mu (1-mu) y^2 q1 / r1^5 with r1 = q1^(1/3), r2 = 1
@@ -79,8 +88,10 @@ class TestCharCoefficients:
             assert char_coeffs(classical, e).d < 0.0
 
     def test_g_absent_for_collinear(self, classical):
-        e = find_collinear(classical)[0]
-        assert char_coeffs(classical, e).g is None
+        # the Hessian route fills no closed-form auxiliary, on or off the axis
+        for e in [*find_collinear(classical), l4_of(classical)]:
+            c = char_coeffs(classical, e)
+            assert c.f_star is None and c.g is None
 
     def test_unrefined_point_rejected(self, classical):
         from chermnykh.equilibria import EquilibriumPoint
@@ -88,6 +99,14 @@ class TestCharCoefficients:
         rough = EquilibriumPoint("L4", 0.48, 0.87, 1.0, 1.0, 1e-3)
         with pytest.raises(DomainError, match="refine"):
             char_coeffs(classical, rough)
+
+    def test_discriminant_overflow_rejected(self):
+        # Xb1 of a belt with T = 5e-52: b = 1.6e154 and d = 6.4e307 are
+        # finite, but b^2 - 4d is not
+        p = SystemParams(mb=1.0, t_belt=5e-52)
+        xb1 = next(e for e in find_collinear(p) if e.kind == "Xb1")
+        with pytest.raises(DomainError, match="coefficients overflow at Xb1"):
+            classify(p, xb1)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
@@ -252,6 +271,20 @@ class TestCollinearFStar:
         vals = collinear_f_star(classical, np.array([0.5, 0.9, 0.97]))
         assert vals[2] > vals[1] > vals[0]  # grows toward the pole at 1 - mu
 
+    @pytest.mark.parametrize(
+        "t_belt, expect", [(1e-50, 6e249), (1e-60, 6e299), (1e-62, None), (1e-70, None)]
+    )
+    def test_thin_belt_core(self, t_belt, expect):
+        # at Xb1, x ~ -7.8e-207 for T = 1e-70, f* ~ 3 M_b / T^5
+        p = SystemParams(mb=0.2, t_belt=t_belt)
+        xb1 = next(e for e in find_collinear(p) if e.kind == "Xb1")
+        for x in (xb1.x, np.array([0.5, xb1.x])):
+            if expect is None:
+                with pytest.raises(DomainError, match=r"f\* leaves double range at x = -7\.7998"):
+                    collinear_f_star(p, x)
+            else:
+                assert np.max(collinear_f_star(p, x)) == pytest.approx(expect, rel=1e-12)
+
 
 class TestCriticalMassExact:
     PRINTED = {1: 0.0385209, 2: 0.0242939, 3: 0.013516, 4: 0.00827037, 5: 0.0055092}
@@ -297,7 +330,8 @@ class TestCriticalMassRoots:
     def closed_residual(base, k, mu):
         K, b1, b2 = resonance_terms(base, k)
         stage = replace(base, mu=mu)
-        g = stability._g_resonance(stage, l4_of(stage))
+        e = l4_of(stage)
+        g = stability._g_bracket(stage, e.x, e.y, e.r1, e.r2, base.rc**2 + base.t_belt**2)
         return K * (b1 - 3.0 * mu * b2) ** 2 - 9.0 * mu * (1.0 - mu) * g
 
     def test_closed_route_fault_cell_is_a_sign_change(self):
@@ -501,3 +535,139 @@ def test_eigenvalues_agree_with_quartic_everywhere(mu, q1, a2, mb):
         char_roots(char_coeffs(p, e)),
         1e-10,
     )
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the parts of stability written apart before
+# (legacy_stability): the stable-side decision, the closed critical-mass
+# bracket and the axis f*.
+
+
+def _quiet_params(mu, q1, a2, mb, t_belt, rc=0.8):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return SystemParams(mu=mu, q1=q1, a2=a2, mb=mb, t_belt=t_belt, rc=rc)
+
+
+# The documented box: mu in (0, 1/2], q1 in (0, 1], A2 in [0, 0.1],
+# M_b in [0, 1.5], T in [1e-3, 0.5].
+box = st.builds(
+    _quiet_params,
+    mu=st.floats(0.0, 0.5, exclude_min=True),
+    q1=st.floats(0.0, 1.0, exclude_min=True),
+    a2=st.floats(0.0, 0.1),
+    mb=st.floats(0.0, 1.5),
+    t_belt=st.floats(1e-3, 0.5),
+    rc=st.floats(0.2, 1.5),
+)
+
+# (b, d) pairs: free draws, d = 0, b <= 0, d = K b^2 at the k:1 ratios
+# (K = 1/4 is the repeated root, disc = 0), and omega1 = k omega2 built
+# from omega2 = w; |b| <= 1e150 keeps b^2 - 4d in double range
+coefficient = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 5e-324)), st.floats(-1e150, 1e150)
+)
+coefficient_pairs = st.one_of(
+    st.tuples(coefficient, st.one_of(st.just(0.0), st.floats(-1e300, 1e300))),
+    st.builds(
+        lambda b, K: (b, K * b * b),
+        coefficient,
+        st.sampled_from((1.0 / 4.0, 4.0 / 25.0, 9.0 / 100.0)),
+    ),
+    st.builds(
+        lambda k, w: ((k * k + 1) * w * w, k * k * w**4),
+        st.sampled_from((1, 2, 3)),
+        st.floats(1e-3, 1e3),
+    ),
+)
+
+
+def _quiet_points(find, p):
+    # at q1 ~ 5e-324 the continuation's stage q1 = 1 - (1 - q1) rounds to 0 and warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return find(p)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, NumericalError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500)
+@given(coefficient_pairs)
+def test_decision_matches_legacy(bd):
+    b, d = bd
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(stability, "char_coeffs", lambda p, e: CharCoefficients(b, d))
+        m.setattr(stability, "char_roots", lambda c: None)
+        rep = classify(CLASSICAL, None)
+    assert (rep.classification, rep.omega1, rep.omega2, rep.resonance_k) == legacy_decision(b, d)
+
+
+@settings(max_examples=100)
+@given(box)
+def test_classify_matches_legacy_over_the_box(p):
+    try:
+        points = _quiet_points(find_all, p)
+    except (DomainError, NumericalError):
+        return
+    for e in points:
+        assert _outcome(classify, p, e) == _outcome(legacy_classify, p, e)
+
+
+@settings(max_examples=60)
+@given(box, st.integers(1, 5))
+def test_closed_critical_mass_g_matches_legacy(p, k):
+    """critical_mass_exact's residual, taken from the root search, equals
+    the residual built on the legacy bracket bit for bit."""
+    try:
+        points = _quiet_points(find_triangular, p)
+    except (DomainError, NumericalError):
+        return
+    residuals = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(stability, "_resonance_root", lambda base, k, r: residuals.append(r))
+        critical_mass_exact(p, k)
+    K, b1, b2 = resonance_terms(p, k)
+    for e in points:
+        g = legacy_g_resonance(p, e)
+        legacy = K * (b1 - 3.0 * p.mu * b2) ** 2 - 9.0 * p.mu * (1.0 - p.mu) * g
+        assert np.float64(residuals[0](p, e)).tobytes() == np.float64(legacy).tobytes()
+
+
+def _ulps(a, b):
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+@settings(max_examples=300)
+@given(
+    box,
+    st.floats(-90.0, math.log10(0.5)),
+    st.lists(st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-3, 1e-3)), min_size=1, max_size=4),
+)
+def test_collinear_f_star_matches_legacy(p, log_t, xs):
+    """Equal without a belt.  With one, within 4 ulp wherever the legacy
+    value is finite and its w^2.5 is a normal float (a subnormal one has
+    lost digits); where f* leaves double range, the legacy value is inf."""
+    p = replace(p, t_belt=10.0**log_t)
+    for x in [*xs, np.array(xs)]:
+        new = _outcome(collinear_f_star, p, x)
+        old = _outcome(legacy_collinear_f_star, p, x)
+        if isinstance(old, tuple):  # both refuse a point on a primary or the belt centre
+            assert new == old
+            continue
+        old = np.atleast_1d(old)
+        if isinstance(new, tuple):
+            assert new[0] is DomainError and "f* leaves double range" in new[1]
+            assert not np.all(np.isfinite(old))
+            continue
+        new = np.atleast_1d(new)
+        if p.mb == 0.0:
+            assert np.array_equal(new, old)
+            continue
+        w = np.atleast_1d(x) ** 2 + p.t_belt**2
+        kept = np.isfinite(old) & (w**2.5 >= np.finfo(float).tiny)
+        assert all(_ulps(a, b) <= 4 for a, b in zip(new[kept], old[kept]))
