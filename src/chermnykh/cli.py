@@ -16,16 +16,16 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 from . import reference_data as rd
 from .dynamics import integrate, zvc_contours
-from .equilibria import find_all, find_triangular
+from .equilibria import LANE_BLOCK, find_all, find_triangular
 from .errors import DomainError, NoTriangularPointsError, NumericalError
 from .model import SystemParams
 from .stability import classify, critical_mass_exact, triangular_frequencies
@@ -115,7 +115,6 @@ class RunConfig:
     tol: float = 1e-10
     out: str | None = None
     format: str | None = None
-    jobs: int = 1
     k_orders: tuple[int, ...] = (1, 2, 3, 4, 5)
     c_level: float = 3.5
     grid: int = 256
@@ -141,8 +140,6 @@ class RunConfig:
             raise UsageError(f"unknown format {self.format!r}")
         if self.table not in ("table1", "table2"):
             raise UsageError(f"unknown table {self.table!r}")
-        if self.jobs < 1:
-            raise UsageError("jobs must be >= 1")
         if self.command == "sweep" and not any(
             a for a in (self.sweep_mu, self.sweep_q1, self.sweep_a2, self.sweep_mb)
         ):
@@ -196,7 +193,6 @@ _FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
 _COERCERS = {
     "mu": float, "q1": float, "a2": float, "mb": float, "t_belt": float,
     "rc": float, "tol": float, "out": str, "format": str,
-    "jobs": int,
     "k_orders": _parse_orders, "c_level": float, "grid": int,
     "xmin": float, "xmax": float, "ymin": float, "ymax": float,
     "x0": float, "y0": float, "vx0": float, "vy0": float, "tend": float,
@@ -300,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="parameter sweep with per-point stability summary")
     common(p)
-    p.add_argument("--jobs", type=int)
     p.add_argument("--sweep-mu", dest="sweep_mu")
     p.add_argument("--sweep-q1", dest="sweep_q1")
     p.add_argument("--sweep-a2", dest="sweep_a2")
@@ -372,12 +367,13 @@ def emit_csv(columns, rows) -> str:
 
 
 def emit_json(columns, rows, meta=None) -> str:
-    obj = {}
-    if meta:
-        obj.update(meta)
-    obj["columns"] = list(columns)
-    obj["rows"] = [[_jnum(v) for v in row] for row in rows]
-    return json.dumps(obj, indent=2) + "\n"
+    """json.dumps(obj, indent=2)'s text, with the rows on the C encoder
+    (indent selects the pure-Python one): the separator carries the indents."""
+    head = json.dumps({**(meta or {}), "columns": list(columns), "rows": []}, indent=2)
+    rows = ["[\n      " + json.dumps([_jnum(v) for v in row], separators=(",\n      ", ": "))[1:-1]
+            + "\n    ]" if row else "[]" for row in rows]
+    body = "[\n    " + ",\n    ".join(rows) + "\n  ]\n}\n" if rows else "[]\n}\n"
+    return head.removesuffix("[]\n}") + body
 
 
 @dataclass(frozen=True)
@@ -577,59 +573,63 @@ def _cmd_tables(cfg: RunConfig):
     return art.columns, art.rows, {"table": art.table_id}, art.summary()
 
 
-def _sweep_point(task):
-    """One sweep row; module-level so worker processes can unpickle it."""
-    mu, q1, a2, mb, t_belt, rc = task
+def _sweep_rows(tasks) -> list[tuple]:
+    """The sweep rows of at most LANE_BLOCK (mu, q1, a2, mb, t_belt, rc) points:
+    one find_all call for all, then _sweep_point point by point."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        row = {"mu": mu, "q1": q1, "a2": a2, "mb": mb}
-        note = []
-        try:
-            p = SystemParams(mu=mu, q1=q1, a2=a2, mb=mb, t_belt=t_belt, rc=rc)
-        except (DomainError, NumericalError) as exc:
-            return _sweep_row_from(row, None, None, f"invalid parameters: {exc}")
-        axis_x = {}
-        points = []
-        try:
-            points = find_all(p)
-            for e in points:
-                if e.is_collinear:
-                    axis_x[e.kind] = e.x
-        except (DomainError, NumericalError) as exc:
-            note.append(f"equilibria failed: {exc}")
-            # the off-axis pair does not depend on the axis scan
+        params = []
+        for task in tasks:
             try:
-                points = list(find_triangular(p))
-            except (DomainError, NumericalError):
-                pass
-        freqs = None
-        l4_class = "no-triangular-point"
-        l4 = next((e for e in points if e.kind == "L4"), None)
-        if l4 is not None:
-            try:
-                report = classify(p, l4)
-                l4_class = report.classification
-                if report.omega1 is not None:
-                    freqs = (report.omega1, report.omega2)
+                params.append(SystemParams(*task))
             except (DomainError, NumericalError) as exc:
-                l4_class = ""
-                note.append(f"classification failed: {exc}")
-        elif q1 == 0.0:
-            # the off-axis point is degenerate at q1 = 0; the analytic
-            # limit still provides frequencies when the belt is absent
-            try:
-                freqs = triangular_frequencies(p)
-                l4_class = "LinearlyStable"
-            except (DomainError, NumericalError):
-                pass
-        return _sweep_row_from(row, axis_x, freqs, "; ".join(note), l4_class)
+                params.append(exc)
+        found = iter(find_all([p for p in params if isinstance(p, SystemParams)]))
+        return [_sweep_point(task, p, next(found) if isinstance(p, SystemParams) else None)
+                for task, p in zip(tasks, params)]
 
 
-def _sweep_row_from(base, axis_x, freqs, note, l4_class=""):
+def _sweep_point(task, p, points):
+    """One sweep row from the point's parameters and equilibria, or their errors."""
+    if not isinstance(p, SystemParams):
+        return _sweep_row_from(task, None, None, f"invalid parameters: {p}")
+    note = []
+    if isinstance(points, Exception):
+        note.append(f"equilibria failed: {points}")
+        # the off-axis pair does not depend on the axis scan
+        try:
+            points = list(find_triangular(p))
+        except (DomainError, NumericalError):
+            points = []
+    axis_x = {e.kind: e.x for e in points if e.is_collinear}
+    freqs = None
+    l4_class = "no-triangular-point"
+    l4 = next((e for e in points if e.kind == "L4"), None)
+    if l4 is not None:
+        try:
+            report = classify(p, l4)
+            l4_class = report.classification
+            if report.omega1 is not None:
+                freqs = (report.omega1, report.omega2)
+        except (DomainError, NumericalError) as exc:
+            l4_class = ""
+            note.append(f"classification failed: {exc}")
+    elif p.q1 == 0.0:
+        # the off-axis point is degenerate at q1 = 0; the analytic
+        # limit still provides frequencies when the belt is absent
+        try:
+            freqs = triangular_frequencies(p)
+            l4_class = "LinearlyStable"
+        except (DomainError, NumericalError):
+            pass
+    return _sweep_row_from(task, axis_x, freqs, "; ".join(note), l4_class)
+
+
+def _sweep_row_from(task, axis_x, freqs, note, l4_class=""):
     axis_x = axis_x or {}
     w1, w2 = (freqs if freqs else (None, None))
     return (
-        base["mu"], base["q1"], base["a2"], base["mb"],
+        *task[:4],
         len(axis_x),
         axis_x.get("L1"), axis_x.get("L2"), axis_x.get("L3"),
         axis_x.get("Xb1"), axis_x.get("Xb2"),
@@ -658,18 +658,10 @@ def _cmd_sweep(cfg: RunConfig):
         raise DomainError(
             f"sweep would cover {total} points; the limit is {MAX_SWEEP_CELLS}"
         )
-    tasks = [
-        (mu, q1, a2, mb, cfg.t_belt, cfg.rc)
-        for mu in axes[0]
-        for q1 in axes[1]
-        for a2 in axes[2]
-        for mb in axes[3]
-    ]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_sweep_point, tasks, chunksize=max(1, len(tasks) // (cfg.jobs * 4))))
-    else:
-        rows = [_sweep_point(t) for t in tasks]
+    tasks = ((*point, cfg.t_belt, cfg.rc) for point in itertools.product(*axes))
+    rows = []
+    while block := list(itertools.islice(tasks, LANE_BLOCK)):
+        rows += _sweep_rows(block)
     return _SWEEP_COLUMNS, rows, {"n_points": total}, f"swept {total} parameter points"
 
 

@@ -14,20 +14,21 @@ of the |x| range or at T sqrt(3/2), where it peaks.  A piece whose floor
 is positive or whose ceiling is negative is monotone: it holds at most one
 root, and the signs of f at its two ends decide it.
 
-scan_collinear starts from the free intervals cut at the origin and at the
-belt knee -T/sqrt(2).  It splits each piece that neither bound certifies
-into SPLIT equal parts, a whole level of pieces per numpy call, until
-every piece is monotone or is a fold piece: one where f' may change sign,
-narrower than FOLD_WIDTH of T and of its distance to the nearer primary.
-Across a fold piece f stays within (1/2) max|f''| width^2 of its value at
-any point, about 1e-18 of the largest force term there and so below the
-rounding of f; its midpoint stands for the extremum, and the signs of f
-at its ends and midpoint decide whether it holds no root, one or a pair.
-The count is therefore exact to rounding.  f is evaluated at all piece
-ends and fold midpoints in one call, and Brent's method polishes each sign
-change on ``model.omega_grad``, which runs the force kernel on plain
-floats.  Newton refinement, the residuals and the labels use the same
-kernel.
+scan_collinear scans one parameter set, or a list of them at once, a lane
+each, on flat piece arrays that carry a lane index.  It starts from the
+free intervals cut at the origin and at the belt knee -T/sqrt(2), and
+splits each piece that neither bound certifies into SPLIT equal parts, a
+whole level of pieces per numpy call, until every piece is monotone or is
+a fold piece: one where f' may change sign, narrower than FOLD_WIDTH of T
+and of its distance to the nearer primary.  Across a fold
+piece f stays within (1/2) max|f''| width^2 of its value at any point,
+about 1e-18 of the largest force term there and so below the rounding of
+f; its midpoint stands for the extremum, and the signs of f at its ends
+and midpoint decide whether it holds no root, one or a pair.  The count is
+therefore exact to rounding.  Brent's method polishes each sign change on
+floats for one lane (brent), or all of a batch's in lockstep (brent_lanes):
+the kernel's floats, and so the roots, are the same bit for bit.
+find_collinear and find_all take a list of lanes in the same way.
 
 Labels follow the crossing direction (_axis_labels).  For q1 > 0, f runs
 from -inf to +inf across each free interval, so the outer ones hold L3
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +61,10 @@ from .errors import (
 )
 from .model import (
     THIN_BELT,
+    LaneParams,
     SystemParams,
     force_scale,
+    kernel,
     omega_grad,
     omega_hessian,
 )
@@ -70,6 +74,7 @@ X_MAX = 5.0
 PRIMARY_GAP = 1e-9  # keep-out half-width around each primary abscissa
 SPLIT = 16  # subpieces of each piece the Omega_xx bounds leave open
 FOLD_WIDTH = 1e-9  # fold pieces are narrower than this fraction of their scale
+LANE_BLOCK = 64  # most lanes per scan_collinear call, which bounds its memory
 
 # A refined equilibrium's gradient residual is at most this fraction of the
 # largest force term at the point (see require_refined).
@@ -143,48 +148,37 @@ def collinear_f(p: SystemParams, x):
     return omega_grad(p, x, 0.0)[0]
 
 
-def _belt_term(p: SystemParams, r):
-    """M_b (2 r^2 - T^2) / (r^2 + T^2)^{5/2}, the belt's share of f' at
-    |x| = r.  It divides by w = r^2 + T^2 one factor at a time, so it stays
-    finite for every T >= THIN_BELT (w^2 sqrt(w) would underflow below
-    T ~ 1e-65)."""
-    t2 = p.t_belt**2
-    w = r * r + t2
-    return p.mb * ((2.0 * r * r - t2) / w / w / np.sqrt(w))
-
-
-def fprime_bounds(p: SystemParams, a, b):
+def fprime_bounds(p, a, b):
     """Lower and upper bounds (floor, ceiling) of f'(x) = Omega_xx(x, 0)
-    over each piece [a, b].
+    over each piece [a, b], for a SystemParams or a LaneParams p.
 
     a and b are floats or arrays with a <= b elementwise, and no piece may
     hold a primary.  1/|s|^3 and 1/|u|^3 fall with the distance from their
-    primary, so the floor takes each primary term at the end of the piece
-    farther from it and the ceiling at the nearer end (the other way round
-    for the term 2 (1 - mu) q1/|s|^3 when q1 < 0).  The belt term rises with
+    primary, so each primary term is smallest at one end of the piece and
+    largest at the other.  The belt term rises with
     |x| up to T sqrt(3/2) and falls beyond, so on [min |x|, max |x|] it is
     smallest at one of the two ends and largest at T sqrt(3/2) clipped to
     the range.
     """
     ends = np.array((a, b), dtype=float)
-    # rows: the distances the floor takes, then those the ceiling takes
     s = np.abs(ends + p.mu)
     u = np.abs(ends + p.mu - 1.0)
-    s.sort(axis=0)
-    u.sort(axis=0)
-    u = u[::-1]
-    if p.q1 >= 0.0:
-        s = s[::-1]
     big = 2.0 * (1.0 - p.mu) * p.q1 / (s * s * s)
     small = (2.0 * p.mu + 6.0 * p.mu * p.a2 / (u * u)) / (u * u * u)
-    total = p.n2 + big + small
-    size = p.n2 + np.abs(big) + small
-    if p.mb:
+    # the floor takes each term's smaller end value, the ceiling its larger
+    terms = np.array((np.minimum(*big), np.maximum(*big), np.minimum(*small), np.maximum(*small)))
+    total = p.n2 + terms[:2] + terms[2:]
+    size = p.n2 + np.abs(terms[:2]) + terms[2:]
+    if type(p.mb) is np.ndarray or p.mb:  # lanes, or a belt
         a, b = ends
         r_lo = np.maximum(np.maximum(a, -b), 0.0)  # 0 if the piece holds the origin
         r_hi = np.maximum(-a, b)
         peak = np.minimum(np.maximum(p.t_belt * math.sqrt(1.5), r_lo), r_hi)
-        belt = _belt_term(p, np.array((r_lo, r_hi, peak)))
+        r = np.array((r_lo, r_hi, peak))
+        # M_b (2 r^2 - T^2) / w^{5/2}, w = r^2 + T^2, dividing by w one factor at
+        # a time: w^2 sqrt(w) would underflow for T below ~1e-65 >= THIN_BELT
+        w = r * r + p.t2
+        belt = p.mb * ((2.0 * r * r - p.t2) / w / w / np.sqrt(w))
         belt = np.array((np.minimum(belt[0], belt[1]), belt[2]))
         total = total + belt
         size = size + np.abs(belt)
@@ -192,73 +186,103 @@ def fprime_bounds(p: SystemParams, a, b):
     return total[0] - 1e-12 * size[0], total[1] + 1e-12 * size[1]
 
 
-def scan_collinear(p: SystemParams) -> CollinearScan:
-    """Bracket the roots of f(x, 0) in the three primary-free intervals by
-    certified subdivision: see the module docstring."""
-    if p.mb > 0.0 and p.t_belt < THIN_BELT:
-        raise DomainError(
-            f"mb = {p.mb} > 0 with t_belt = {p.t_belt} makes the belt a point "
-            "mass at the origin, a third singular point of the axis force; the "
-            f"axis equilibria need t_belt >= {THIN_BELT:g} when mb > 0"
-        )
-    free = (
-        (-X_MAX, -p.mu - PRIMARY_GAP),
-        (-p.mu + PRIMARY_GAP, 1.0 - p.mu - PRIMARY_GAP),
-        (1.0 - p.mu + PRIMARY_GAP, X_MAX),
-    )
-    knee = -p.t_belt / math.sqrt(2.0)
-    ends = [
-        [lo, *(c for c in (knee, 0.0) if lo < c < hi), hi] for lo, hi in free if lo < hi
-    ]
-    a = np.array([x for e in ends for x in e[:-1]])
-    b = np.array([x for e in ends for x in e[1:]])
-    done_a, done_b = [], []
-    while a.size:
-        floor, ceiling = fprime_bounds(p, a, b)
+# The record of a scan of lanes, flat and sorted by lane, then along the axis: pieces [a, b] with
+# lanes and samples (as in CollinearScan); brackets [lo, hi] with lanes; the LaneParams; each
+# refused lane's DomainError.
+LaneScan = namedtuple("LaneScan", "lane a b samples bracket_lane lo hi params failed")
+
+
+def _scan_lanes(ps) -> LaneScan:
+    """Bracket the axis roots of at most LANE_BLOCK parameter sets, a lane each,
+    by one certified subdivision of all of them (module docstring).  f needs no
+    check_regular: points keep PRIMARY_GAP, and belts below THIN_BELT are refused."""
+    failed, a, b, lane = {}, [], [], []
+    for k, p in enumerate(ps):
+        if p.mb > 0.0 and p.t_belt < THIN_BELT:
+            failed[k] = DomainError(
+                f"mb = {p.mb} > 0 with t_belt = {p.t_belt} makes the belt a point mass at the "
+                "origin, a third singular point of the axis force; the axis equilibria "
+                f"need t_belt >= {THIN_BELT:g} when mb > 0")
+            continue
+        knee, gap = -p.t_belt / math.sqrt(2.0), PRIMARY_GAP
+        for lo, hi in ((-X_MAX, -p.mu - gap), (-p.mu + gap, 1.0 - p.mu - gap),
+                       (1.0 - p.mu + gap, X_MAX)):
+            ends = [lo, *(c for c in (knee, 0.0) if lo < c < hi), hi]
+            a += ends[:-1]
+            b += ends[1:]
+            lane += [k] * (len(ends) - 1)
+    params = LaneParams.of(ps)
+    a, b, lane = np.array(a, dtype=float), np.array(b, dtype=float), np.array(lane, dtype=int)
+    done = []
+    while True:
+        q = params.at(lane)
+        floor, ceiling = fprime_bounds(q, a, b)
+        fold = (floor <= 0.0) & (ceiling >= 0.0)
         # split what neither bound certifies, down to FOLD_WIDTH of the
         # distance to the nearer primary and of T (or a few dozen ulp)
-        scale = np.minimum(np.abs(a + p.mu), np.abs(a + p.mu - 1.0))
-        if p.mb:
-            scale = np.minimum(scale, p.t_belt)
-        split = (floor <= 0.0) & (ceiling >= 0.0)
-        split &= b - a > np.maximum(FOLD_WIDTH * scale, 1e-14 * np.abs(a))
+        scale = np.minimum(np.minimum(np.abs(a + q.mu), np.abs(a + q.mu - 1.0)), q.t_belt)
+        split = fold & (b - a > np.maximum(FOLD_WIDTH * scale, 1e-14 * np.abs(a)))
         keep = ~split
-        done_a.append(a[keep])
-        done_b.append(b[keep])
-        a, b = a[split], b[split]
+        done.append((lane[keep], a[keep], b[keep], fold[keep]))
+        if not split.any():
+            break
+        a, b, lane = a[split], b[split], np.repeat(lane[split], SPLIT)
         grid = a[:, None] + ((b - a)[:, None] / SPLIT) * np.arange(SPLIT + 1)
         grid[:, -1] = b
         a, b = grid[:, :-1].ravel(), grid[:, 1:].ravel()
 
-    a, b = np.concatenate(done_a), np.concatenate(done_b)
-    order = np.argsort(a)
-    a, b = a[order], b[order]
-    floor, ceiling = fprime_bounds(p, a, b)
-    fold = (floor <= 0.0) & (ceiling >= 0.0)
-    xs = np.unique(np.concatenate((a, b, 0.5 * (a[fold] + b[fold]))))
-    fs = collinear_f(p, xs)
-    side = (xs > -p.mu).astype(int) + (xs > 1.0 - p.mu)
-    # a root per sign change between neighbouring nonzero values on one
-    # side of the primaries; a zero of f between them is the root itself
+    lane, a, b, fold = (np.concatenate(v) for v in zip(*done))
+    del done
+    order = np.lexsort((a, lane))  # by lane, then along the axis
+    lane, a, b, fold = lane[order], a[order], b[order], fold[order]
+    # f at each piece's start, its midpoint if it is a fold piece and its end
+    # if no piece starts there: in axis order, lane by lane, and in slices of
+    # 2048 points; one lane ends at X_MAX and the next starts at -X_MAX
+    ends = np.ones(a.size, dtype=bool)
+    ends[:-1] = b[:-1] != a[1:]
+    xs = np.stack((a, 0.5 * (a + b), b), axis=1)[np.stack((np.ones_like(fold), fold, ends), 1)]
+    xl = np.repeat(lane, 1 + fold + ends)
+    new = np.ones(xs.size, dtype=bool)
+    new[1:] = xs[1:] != xs[:-1]
+    xs, xl = xs[new], xl[new]
+    fs = np.concatenate([kernel(params.at(xl[i:i + 2048]), xs[i:i + 2048], 0.0, 1)[0]
+                         for i in range(0, max(xs.size, 1), 2048)])
+    # a root per sign change between neighbouring nonzero values on one side
+    # of the primaries, so not across lanes; a zero of f between them is the root
     i = np.flatnonzero(fs)
     i, j = i[:-1], i[1:]
-    change = ((fs[i] > 0.0) != (fs[j] > 0.0)) & (side[i] == side[j])
+    change = (fs[i] > 0.0) != (fs[j] > 0.0)
     i, j = i[change], j[change]
+    mu = np.take(params.mu, xl[i])
+    side = ((xs[i] > -mu) == (xs[j] > -mu)) & ((xs[i] > 1.0 - mu) == (xs[j] > 1.0 - mu))
+    i, j = i[side], j[side]
     zero = j > i + 1
     m = (i + j) // 2
     lo, hi = np.where(zero, xs[m], xs[i]), np.where(zero, xs[m], xs[j])
-    return CollinearScan(
-        intervals=tuple(zip(a.tolist(), b.tolist())),
-        samples=tuple(np.where(fold, 3, 2).tolist()),
-        brackets=tuple(zip(lo.tolist(), hi.tolist())),
-    )
+    return LaneScan(lane, a, b, 2 + fold, xl[i], lo, hi, params, failed)
+
+
+def scan_collinear(p):
+    """Bracket the axis roots of p by certified subdivision (module docstring).
+
+    p is a SystemParams, whose CollinearScan comes back (a belt thinner than
+    THIN_BELT raises DomainError), or a list of at most LANE_BLOCK of them,
+    scanned at once, a lane each, whose LaneScan comes back."""
+    if not isinstance(p, SystemParams):
+        return _scan_lanes(p)
+    s = _scan_lanes([p])
+    if s.failed:
+        raise s.failed[0]
+    intervals, brackets = zip(s.a.tolist(), s.b.tolist()), zip(s.lo.tolist(), s.hi.tolist())
+    return CollinearScan(tuple(intervals), tuple(s.samples.tolist()), tuple(brackets))
 
 
 def brent(f, a: float, b: float, fa: float, fb: float, atol: float = 1e-300) -> float:
     """Root of f in the bracket [a, b], where fa = f(a) and fb = f(b) differ
     in sign, by Brent's method (Brent 1973, zeroin): inverse quadratic or
     secant steps, safeguarded by bisection.  It stops when the bracket is
-    within 4 ulp + 2 atol of its better end, which it returns."""
+    within 4 ulp + 2 atol of its better end, which it returns.
+    brent_lanes is the same method on arrays of brackets."""
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -300,6 +324,44 @@ def brent(f, a: float, b: float, fa: float, fb: float, atol: float = 1e-300) -> 
     return b
 
 
+def brent_lanes(f, a, b, fa, fb, atol: float = 1e-300) -> np.ndarray:
+    """brent on arrays of brackets in lockstep, branches as masks: each takes
+    brent's IEEE operations on it alone, so its root is brent's bit for bit.
+    f(k, x) is f at x for the brackets of index array k."""
+    root = np.where(fa == 0.0, a, b)
+    k = np.flatnonzero((fa != 0.0) & (fb != 0.0))
+    a, b, fa, fb = a[k], b[k], fa[k], fb[k]
+    c, fc, d, e = a, fa, b - a, b - a
+    with np.errstate(all="ignore"):  # in branches not taken
+        for _ in range(200):
+            reset = (fb > 0.0) == (fc > 0.0)
+            c, fc, d, e = (np.where(reset, *u) for u in ((a, c), (fa, fc), (b - a, d), (b - a, e)))
+            swap = np.abs(fc) < np.abs(fb)
+            a, b, c = np.where(swap, b, a), np.where(swap, c, b), np.where(swap, b, c)
+            fa, fb, fc = np.where(swap, fb, fa), np.where(swap, fc, fb), np.where(swap, fb, fc)
+            tol = 2.0 * _EPS * np.abs(b) + atol
+            m = 0.5 * (c - b)
+            stop = (np.abs(m) <= tol) | (fb == 0.0)
+            root[k[stop]] = b[stop]
+            k, a, b, c, fa, fb, fc, d, e, tol, m = (
+                v[~stop] for v in (k, a, b, c, fa, fb, fc, d, e, tol, m))
+            if not k.size:
+                break
+            s, q, r = fb / fa, fa / fc, fb / fc
+            num = np.where(a == c, 2.0 * m * s, s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0)))
+            den = np.where(a == c, 1.0 - s, (q - 1.0) * (r - 1.0) * (s - 1.0))
+            num, den = np.where(num > 0.0, num, -num), np.where(num > 0.0, -den, den)
+            # Python's min(x, y) is y only where y < x
+            x, y = 3.0 * m * den - np.abs(tol * den), np.abs(e * den)
+            step = ~((np.abs(e) < tol) | (np.abs(fa) <= np.abs(fb)))
+            step &= 2.0 * num < np.where(y < x, y, x)
+            e, d = np.where(step, d, m), np.where(step, num / den, m)
+            a, fa, b = b, fb, b + np.where(np.abs(d) > tol, d, np.where(m > 0.0, tol, -tol))
+            fb = f(k, b)
+    root[k] = b
+    return root
+
+
 def _axis_roots(p: SystemParams) -> list[float]:
     """The distinct roots of f on the axis: the scan's brackets, each
     polished by Brent's method on the float kernel."""
@@ -312,6 +374,32 @@ def _axis_roots(p: SystemParams) -> list[float]:
         lo if lo == hi else brent(f, lo, hi, f(lo), f(hi))
         for lo, hi in scan_collinear(p).brackets
     ]
+
+
+def _lane_roots(s: LaneScan, n: int) -> list:
+    """Per lane of the scan s of n lanes, its axis roots as _axis_roots gives them, or
+    its DomainError: all its brackets polished by one brent_lanes."""
+
+    def f(k, x):
+        return kernel(s.params.at(s.bracket_lane[k]), x, 0.0, 1)[0]
+
+    k = np.arange(s.lo.size)
+    out = [s.failed.get(i, []) for i in range(n)]
+    for i, x in zip(s.bracket_lane.tolist(), brent_lanes(f, s.lo, s.hi, f(k, s.lo), f(k, s.hi))):
+        out[i].append(float(x))
+    return out
+
+
+def _per_lane(step, ps, results) -> list:
+    """step(p, r) for each lane's p and earlier result r, or the DomainError or
+    NumericalError that stops the lane; an earlier one passes through."""
+    out = []
+    for p, r in zip(ps, results):
+        try:
+            out.append(r if isinstance(r, Exception) else step(p, r))
+        except (DomainError, NumericalError) as exc:
+            out.append(exc)
+    return out
 
 
 def _axis_labels(p: SystemParams, roots) -> list[tuple[str, float]]:
@@ -345,16 +433,23 @@ def _axis_labels(p: SystemParams, roots) -> list[tuple[str, float]]:
     return [("L3", left[0]), *zip(kinds, middle), ("L2", right[0])]
 
 
-def find_collinear(p: SystemParams) -> list[EquilibriumPoint]:
+def find_collinear(p) -> list:
     """All axis equilibria, polished by Brent's method and labeled by
     crossing direction (_axis_labels), in axis order.
 
     Returns 3 points (L3, L1, L2) without a belt, and 5 (adding Xb2, Xb1)
     when the belt attraction splits the inner interval.  A root pattern
-    with no labelling raises ScanError.
+    with no labelling raises ScanError.  For a list of parameter sets, as
+    for scan_collinear, one scan and one brent_lanes serve them all, and
+    each lane gets its points or the error that stopped them (_per_lane).
     """
-    labeled = _axis_labels(p, _axis_roots(p))
-    return [_point(p, kind, x, 0.0) for kind, x in labeled]
+    if not isinstance(p, SystemParams):
+        return _per_lane(_label_points, p, _lane_roots(scan_collinear(p), len(p)))
+    return _label_points(p, _axis_roots(p))
+
+
+def _label_points(p: SystemParams, roots) -> list[EquilibriumPoint]:
+    return [_point(p, kind, x, 0.0) for kind, x in _axis_labels(p, roots)]
 
 
 def _side(p: SystemParams, x: float) -> int:
@@ -463,9 +558,8 @@ def triangular_analytic(
         raise DomainError("triangular points degenerate for q1 <= 0 (r1 -> 0)")
     if radii not in ("consistent", "printed"):
         raise DomainError(f"unknown radii convention {radii!r}")
-    t2 = p.t_belt**2
     if radii == "printed":
-        w3 = (p.rc**2 + t2) ** 1.5
+        w3 = (p.rc**2 + p.t2) ** 1.5
         r1 = p.q1 ** (1.0 / 3.0) * (
             1.0
             - 0.5 * p.a2
@@ -479,7 +573,7 @@ def triangular_analytic(
         rs2 = (1.0 - p.mu) * p.q1 ** (2.0 / 3.0) + p.mu**2
         passes = 1 if p.mb == 0.0 else 2
         for _ in range(passes):
-            rhs = p.n2 - p.mb / (rs2 + t2) ** 1.5
+            rhs = p.n2 - p.mb / (rs2 + p.t2) ** 1.5
             if rhs <= 0.0:
                 raise NoTriangularPointsError(
                     "belt attraction exceeds the rotational balance at the "
@@ -578,9 +672,15 @@ def _is_classical(p: SystemParams) -> bool:
     return p.q1 == 1.0 and p.a2 == 0.0 and p.mb == 0.0
 
 
-def find_all(p: SystemParams) -> list[EquilibriumPoint]:
-    """Axis points plus the triangular pair (when the latter exist)."""
-    points = find_collinear(p)
+def find_all(p) -> list:
+    """Axis points plus the triangular pair (when the latter exist); for a
+    list of parameter sets, per lane as find_collinear gives them."""
+    if not isinstance(p, SystemParams):
+        return _per_lane(_add_triangular, p, find_collinear(p))
+    return _add_triangular(p, find_collinear(p))
+
+
+def _add_triangular(p: SystemParams, points: list) -> list:
     try:
         points.extend(find_triangular(p))
     except NoTriangularPointsError:

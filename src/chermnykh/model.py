@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,7 @@ BELT_CENTRE = f"belt centre (origin, with t_belt = 0 or below {THIN_BELT:g})"
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Immutable parameter set; n^2 and n are computed once and cached.
+    """Immutable parameter set; n^2, n and T^2 are computed once and cached.
 
     Attributes:
         mu: mass ratio of the smaller primary, 0 < mu <= 1/2.
@@ -74,6 +75,7 @@ class SystemParams:
     rc: float = 0.8
     n2: float = field(init=False, repr=False, compare=False)
     n: float = field(init=False, repr=False, compare=False)
+    t2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.mu <= 0.5:
@@ -98,14 +100,33 @@ class SystemParams:
                 UserWarning,
                 stacklevel=3,  # past the dataclass __init__, to its caller
             )
+        # float ** 2 is libm pow, which may round otherwise than T * T; lanes reuse it
+        object.__setattr__(self, "t2", self.t_belt**2)
         object.__setattr__(
             self,
             "n2",
-            1.0
-            + 1.5 * self.a2
-            + 2.0 * self.mb * self.rc / (self.rc**2 + self.t_belt**2) ** 1.5,
+            1.0 + 1.5 * self.a2 + 2.0 * self.mb * self.rc / (self.rc**2 + self.t2) ** 1.5,
         )
         object.__setattr__(self, "n", math.sqrt(self.n2))
+
+
+class LaneParams(namedtuple("LaneParams", "mu q1 a2 mb t_belt t2 n2")):
+    """SystemParams of a batch of lanes, as the kernel and the axis scan read
+    them: floats for one lane, else arrays with an entry per lane (``of``)
+    or per point (``at``).  A lane without a belt has t_belt = inf and t2 = 1:
+    its belt terms are then exactly 0, so each lane's floats are its own."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, ps) -> "LaneParams":
+        rows = [(p.mu, p.q1, p.a2, p.mb, *((p.t_belt, p.t2) if p.mb else (math.inf, 1.0)), p.n2)
+                for p in ps]
+        return cls(*map(float, rows[0])) if len(rows) == 1 else cls(*np.reshape(rows, (-1, 7)).T)
+
+    def at(self, lane) -> "LaneParams":
+        """Entry i holds lane[i]'s parameters; one lane's floats broadcast."""
+        return self if type(self.mu) is float else LaneParams(*np.take(self, lane, axis=1))
 
 
 @dataclass(frozen=True)
@@ -135,7 +156,8 @@ def kernel(p: SystemParams, x, y, order: int):
     gradient and the Hessian, ((Omega_x, Omega_y), (Omega_xx, Omega_xy,
     Omega_yy)) (order 2), at (x, y), with no singularity guard.
 
-    x and y are floats or numpy arrays that broadcast together.  The body
+    x and y are floats or numpy arrays that broadcast together; orders 0 and
+    1 also take a LaneParams p that broadcasts with them.  The body
     uses only + - * / and the correctly rounded square root of its operand
     kind, math.sqrt on plain floats and np.sqrt otherwise, so a float and
     the same point inside an array give bit-identical results.  (Python's
@@ -151,8 +173,8 @@ def kernel(p: SystemParams, x, y, order: int):
         val = 0.5 * p.n2 * (x * x + yy) + (1.0 - p.mu) * p.q1 / root(s * s + yy)
         val += p.mu / r2
         val += 0.5 * p.mu * p.a2 / (r2 * r2 * r2)
-        if p.mb:
-            val += p.mb / root(x * x + yy + p.t_belt**2)
+        if type(p.mb) is np.ndarray or p.mb:  # lanes, or a belt
+            val += p.mb / root(x * x + yy + p.t2)
         return val
     r1sq = s * s + yy
     r2sq = u * u + yy
@@ -164,8 +186,8 @@ def kernel(p: SystemParams, x, y, order: int):
     c = 1.5 * p.mu * p.a2 / r25
     gx = p.n2 * x - a * s - b * u - c * u
     gy = p.n2 * y - a * y - b * y - c * y
-    if p.mb:
-        w = x * x + yy + p.t_belt**2
+    if type(p.mb) is np.ndarray or p.mb:  # lanes, or a belt
+        w = x * x + yy + p.t2
         bw = p.mb / (w * root(w))
         gx = gx - bw * x
         gy = gy - bw * y
@@ -212,7 +234,7 @@ def check_regular(p: SystemParams, x, y) -> None:
     if d2 < _SINGULAR_SQ:
         raise SingularPointError(SMALLER_PRIMARY, math.sqrt(d2))
     if p.mb > 0.0 and p.t_belt < THIN_BELT:
-        w = np.min(x * x + yy, initial=math.inf) + p.t_belt**2
+        w = np.min(x * x + yy, initial=math.inf) + p.t2
         if w * math.sqrt(w) == 0.0:
             raise SingularPointError(BELT_CENTRE, math.sqrt(w))
 
@@ -268,7 +290,7 @@ def force_scale(p: SystemParams, x: float, y: float) -> float:
         1.5 * p.mu * p.a2 / (r2sq * r2sq),
     ]
     if p.mb:
-        w = rsq + p.t_belt**2
+        w = rsq + p.t2
         terms.append(p.mb * math.sqrt(rsq) / (w * math.sqrt(w)) if w else 0.0)
     return max(terms)
 

@@ -122,7 +122,7 @@ def linear_system(p: SystemParams, e: EquilibriumPoint) -> np.ndarray:
 
 def _f_star(p: SystemParams, x, y, r1, r2):
     # floats or numpy arrays, with model.kernel's choice of square root
-    w = x * x + y * y + p.t_belt**2
+    w = x * x + y * y + p.t2
     root = math.sqrt if type(w) is float else np.sqrt
     return (
         (1.0 - p.mu) * p.q1 / r1**3
@@ -151,14 +151,16 @@ def char_coeffs(p: SystemParams, e: EquilibriumPoint) -> CharCoefficients:
     oxx, oxy, oyy = omega_hessian(p, e.x, e.y)
     b = 4.0 * p.n2 - oxx - oyy
     d = oxx * oyy - oxy * oxy
-    if not math.isfinite(b * b - 4.0 * d):
-        # a point in the core of a belt thinner than ~1e-50: Omega_xx and
-        # Omega_yy reach M_b / T^3, and b^2 and their product d leave
-        # double range, so classify could not tell the sign of b^2 - 4d
-        raise DomainError(
-            f"characteristic coefficients overflow at {e.kind} (b = {b:.3g}, d = {d:.3g})"
-        )
+    # a point in the core of a belt thinner than ~1e-50: Omega_xx and
+    # Omega_yy reach M_b / T^3, and b^2 and their product d leave double
+    # range, so classify could not tell the sign of b^2 - 4d
+    _require_finite(b, d, f" at {e.kind}")
     return CharCoefficients(b, d)
+
+
+def _require_finite(b: float, d: float, where: str = "") -> None:
+    if not math.isfinite(b * b - 4.0 * d):  # nor is it for a nan or infinite b or d
+        raise DomainError(f"characteristic coefficients overflow{where} (b = {b:.3g}, d = {d:.3g})")
 
 
 def char_coeffs_paper_triangular(
@@ -172,13 +174,13 @@ def char_coeffs_paper_triangular(
         raise DomainError(
             f"closed triangular forms are undefined for kind {e.kind!r}"
         )
-    w = e.x * e.x + e.y * e.y + p.t_belt**2
+    w = e.x * e.x + e.y * e.y + p.t2
     fs = _f_star(p, e.x, e.y, e.r1, e.r2)
     b = (
         2.0 * p.n2
         - fs
         - 3.0 * p.mu * p.a2 / e.r2**5
-        + 3.0 * p.mb * p.t_belt**2 / w**2.5
+        + 3.0 * p.mb * p.t2 / w**2.5
     )
     g = _g_bracket(p, e.x, e.y, e.r1, e.r2, w)
     d = 9.0 * p.mu * (1.0 - p.mu) * g
@@ -206,14 +208,16 @@ def limit_coefficients_q1_zero(p: SystemParams) -> CharCoefficients:
 def char_roots(c) -> tuple[complex, complex, complex, complex]:
     """The four roots of l^4 + b l^2 + d, via the quadratic in l^2.
 
-    Accepts CharCoefficients or a (b, d) pair.  The two l^2 values are
-    checked against the coefficients (sum -b, product d) to relative 1e-12.
+    Accepts CharCoefficients or a (b, d) pair; a non-finite b^2 - 4d raises DomainError.
+    The two l^2 values are checked against the coefficients (sum -b, product d) to relative 1e-12.
     """
     b, d = (c.b, c.d) if isinstance(c, CharCoefficients) else (float(c[0]), float(c[1]))
+    _require_finite(b, d)
     disc = cmath.sqrt(complex(b * b - 4.0 * d))
     lam2 = ((-b + disc) / 2.0, (-b - disc) / 2.0)
     scale = max(1.0, abs(b), abs(d))
-    if abs(lam2[0] + lam2[1] + b) > 1e-12 * scale or abs(lam2[0] * lam2[1] - d) > 1e-12 * scale:
+    if not (abs(lam2[0] + lam2[1] + b) <= 1e-12 * scale  # so that a nan fails it
+            and abs(lam2[0] * lam2[1] - d) <= 1e-12 * scale):
         raise NumericalError("root-coefficient consistency check failed")
     roots = []
     for l2 in lam2:
@@ -282,9 +286,9 @@ def resonance_terms(p: SystemParams, k: int) -> ResonanceTerms:
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"resonance order k must be an integer >= 1, got {k!r}")
     K = k * k / (k * k + 1) ** 2
-    w3 = (p.rc**2 + p.t_belt**2) ** 1.5
-    w5 = (p.rc**2 + p.t_belt**2) ** 2.5
-    b1 = p.n2 + 2.0 * p.rc * p.mb / w3 + 3.0 * p.mb * p.t_belt**2 / w5
+    w3 = (p.rc**2 + p.t2) ** 1.5
+    w5 = (p.rc**2 + p.t2) ** 2.5
+    b1 = p.n2 + 2.0 * p.rc * p.mb / w3 + 3.0 * p.mb * p.t2 / w5
     b2 = p.a2 * (1.0 + 5.0 * (2.0 * p.rc - 1.0) * p.mb / w3)
     return ResonanceTerms(K, b1, b2)
 
@@ -341,7 +345,7 @@ def critical_mass_exact(base: SystemParams, k: int) -> float:
     """
     K, b1, b2 = resonance_terms(base, k)
     # the belt radius frozen at rc, the r = rc convention of the closed form
-    w_rc = base.rc**2 + base.t_belt**2
+    w_rc = base.rc**2 + base.t2
 
     def residual(stage: SystemParams, point: EquilibriumPoint) -> float:
         mu, g = stage.mu, _g_bracket(stage, point.x, point.y, point.r1, point.r2, w_rc)

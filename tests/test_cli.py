@@ -5,6 +5,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chermnykh import cli
 from chermnykh.cli import (
@@ -19,6 +21,7 @@ from chermnykh.cli import (
     _parse_orders,
     build_config,
     config_from_argv,
+    emit_json,
     main,
     parse_config,
     reproduce_tables,
@@ -26,6 +29,7 @@ from chermnykh.cli import (
 from chermnykh.errors import NoResonanceError
 
 from conftest import CLASSICAL
+from legacy_dp5 import legacy_jnum
 
 
 def run_to_file(tmp_path, argv, name="out.txt"):
@@ -91,6 +95,13 @@ class TestConfigHandling:
         for command in ("equilibria", "stability", "sweep"):
             assert main([command, "--samples", "100"]) == EXIT_USAGE
 
+    def test_jobs_key_and_flag_are_gone(self):
+        # a sweep runs its points as lanes of one process; there is no pool
+        with pytest.raises(UsageError, match="unknown key 'jobs'"):
+            parse_config("mu = 0.1\njobs = 2\n")
+        assert "jobs" not in build_config("sweep", {"sweep_mb": "0,0.2"}).to_file_text()
+        assert main(["sweep", "--sweep-mb", "0,0.2", "--jobs", "2"]) == EXIT_USAGE
+
     def test_config_malformed_line_rejected(self):
         with pytest.raises(UsageError, match="key = value"):
             parse_config("just words\n")
@@ -105,7 +116,6 @@ class TestConfigHandling:
                 "sweep",
                 "--sweep-q1", "0:1:0.5",
                 "--sweep-mb", "0,0.2",
-                "--jobs", "2",
                 "--format", "csv",
             ]
         )
@@ -133,8 +143,6 @@ class TestConfigHandling:
             RunConfig(command="zvc", format="xml")
         with pytest.raises(UsageError):
             RunConfig(command="tables", table="table9")
-        with pytest.raises(UsageError):
-            RunConfig(command="sweep", sweep_q1=(1.0,), jobs=0)
 
 
 class TestExitCodes:
@@ -272,6 +280,55 @@ class TestZvcCommand:
         doc = json.loads(text)
         assert doc["rows"] == []
         assert "below" in doc["diagnostic"]
+
+
+def _json_reference(columns, rows, meta=None):
+    """The JSON text as json.dumps(obj, indent=2) writes it."""
+    obj = dict(meta or {})
+    obj["columns"] = list(columns)
+    obj["rows"] = [[legacy_jnum(v) for v in row] for row in rows]
+    return json.dumps(obj, indent=2) + "\n"
+
+
+json_cell = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.none(),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.text(alphabet=st.sampled_from('ab]["\\,:\n\t é→∑\x00'), max_size=8),
+)
+
+
+class TestJsonEmission:
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.text(max_size=6), max_size=5),
+        st.lists(st.lists(json_cell, max_size=6), max_size=6),
+    )
+    def test_same_text_as_indented_dumps(self, columns, rows):
+        assert emit_json(columns, rows) == _json_reference(columns, rows)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["equilibria", "--mb", "0.2"],
+            ["stability"],
+            ["mu-crit", "--k", "1,2"],
+            ["zvc", "--grid", "64"],
+            ["zvc", "--grid", "64", "--C", "0.5"],
+            ["integrate", "--tend", "0.5"],
+            ["tables", "--table", "table1"],
+            ["sweep", "--sweep-mb", "0,0.2", "--mu", "0.5"],
+        ],
+    )
+    def test_same_text_for_every_command(self, argv):
+        cfg = config_from_argv(argv)
+        columns, rows, meta, _ = cli._DISPATCH[cfg.command](cfg)
+        assert emit_json(columns, rows, meta) == _json_reference(columns, rows, meta)
+
+    def test_empty_rows_and_empty_row(self):
+        for rows in ([], [()], [(), (1.0,), ()]):
+            assert emit_json(("a",), rows, {"n": 0}) == _json_reference(("a",), rows, {"n": 0})
 
 
 class TestIntegrateCommand:
@@ -435,12 +492,6 @@ class TestSweepCommand:
         assert "equilibria failed" in row["note"] and "point mass" in row["note"]
         assert row["n_axis_points"] == "0" and row["l1_x"] == ""
         assert row["l4_classification"] == "Unstable-ComplexQuartet"
-
-    def test_worker_pool_output_identical(self, tmp_path):
-        argv = ["sweep", "--sweep-q1", "0.25:1:0.25", "--sweep-mb", "0,0.2"]
-        _, serial = run_to_file(tmp_path, argv + ["--jobs", "1"], "s1.csv")
-        _, pooled = run_to_file(tmp_path, argv + ["--jobs", "2"], "s2.csv")
-        assert serial == pooled and serial
 
     def test_oversize_product_refused_with_count(self, tmp_path, capsys):
         code = main(

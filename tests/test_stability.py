@@ -178,6 +178,15 @@ class TestCharRoots:
         c = char_coeffs(classical, l4_of(classical))
         assert len(char_roots(c)) == 4
 
+    @pytest.mark.parametrize(
+        "b, d",
+        [(1.6e154, 6.4e307), (math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0)],
+    )
+    def test_refuses_coefficients_out_of_double_range(self, b, d):
+        # b^2 - 4d = inf - inf once gave four nan roots past the check
+        with pytest.raises(DomainError, match=r"characteristic coefficients overflow \(b = "):
+            char_roots((b, d))
+
 
 class TestLinearSystem:
     def test_structure(self, classical):
