@@ -37,10 +37,14 @@ down and up: Xb2, Xb1 and L1.  A sufficiently massive, sufficiently
 concentrated belt adds that saddle/centre pair (Xb2, Xb1).  For q1 <= 0
 the bigger primary has no attracting pole, and no labelling exists.
 
-The triangular pair is seeded from closed-form radii and finished with a
-2-D Newton iteration on the full gradient; where the seed does not exist
-or does not converge, a continuation from the classical problem takes
-over.
+Off the axis, Omega_y = Omega_x = 0 reduce exactly (the belt term cancels)
+to q1/r1^3 = 1/r2^3 + (3/2) A2/r2^5, so r1 rises with r2, and the
+triangular points are the roots of F(r2) = n^2 - M_b/(r^2 + T^2)^{3/2} -
+1/r2^3 - (3/2) A2/r2^5 on the r2 interval where the circles r1 and r2 about
+the primaries cross.  F is strictly increasing (README, "How off-axis
+points are found"); find_triangular takes the interval's two ends and F's
+root with brent, and F's sign at an end certifies that L4 and L5 have
+merged into the axis there when there is no root.
 """
 
 from __future__ import annotations
@@ -516,74 +520,38 @@ def _positional_kind(p: SystemParams, x: float, y: float) -> str:
     return min(_axis_labels(p, _axis_roots(p)), key=lambda kx: abs(kx[1] - x))[0]
 
 
-def _solve_r2(a2: float, rhs: float) -> float:
-    """Root of 1/r^3 + (3/2) a2 / r^5 = rhs; monotone, safe Newton."""
-    r = rhs ** (-1.0 / 3.0)
-    if a2 == 0.0:
-        return r
-    for _ in range(60):
-        g = r**-3 + 1.5 * a2 * r**-5 - rhs
-        dg = -3.0 * r**-4 - 7.5 * a2 * r**-6
-        step = g / dg
-        r -= step
-        if abs(step) <= 1e-16 * r:
-            break
-    return r
-
-
 def triangular_analytic(
     p: SystemParams, radii: str = "consistent"
 ) -> tuple[EquilibriumPoint, EquilibriumPoint]:
-    """Closed-form triangular pair via two-circle intersection.
+    """Triangular pair from closed-form radii and the two-circle intersection.
 
-    Two radii conventions are offered:
-
-    * ``consistent`` (default): r1 and r2 solve the exact off-axis balance
-      relations q1/r1^3 = 1/r2^3 + (3/2) a2/r2^5 = n^2 - mb/(rs^2 + T^2)^{3/2},
-      seeding the belt radius at the unperturbed triangular distance
-      rs^2 = (1 - mu) q1^{2/3} + mu^2 and then re-evaluating it once at the
-      constructed point.  Exact at mb = 0; the residual error is higher than
-      second order in mb, so the gap to the refined point shrinks at least
-      quadratically when the belt mass is halved.
+    * ``consistent`` (default): the exact radii, find_triangular's pair.
     * ``printed``: the first-order series radii
       r1 = q1^{1/3} [1 - a2/2 + (1 - 2 rc) mb (1 - 3 mu a2 / (2(1-mu))) / (3 (rc^2+T^2)^{3/2})],
       r2 = 1 + mu (1 - 2 rc) mb / (3 (rc^2+T^2)^{3/2})],
-      kept for reproduction of the published series.
-
-    Either way the coordinates follow from x + mu = (1 + r1^2 - r2^2)/2 and
-    y^2 = r1^2 - (x + mu)^2; a negative y^2 means no off-axis equilibria
-    exist for these parameters.
+      kept for reproduction of the published series; circles that miss
+      off the axis raise NoTriangularPointsError.
     """
-    if p.q1 <= 0.0:
-        raise DomainError("triangular points degenerate for q1 <= 0 (r1 -> 0)")
     if radii not in ("consistent", "printed"):
         raise DomainError(f"unknown radii convention {radii!r}")
-    if radii == "printed":
-        w3 = (p.rc**2 + p.t2) ** 1.5
-        r1 = p.q1 ** (1.0 / 3.0) * (
-            1.0
-            - 0.5 * p.a2
-            + (1.0 - 2.0 * p.rc)
-            * p.mb
-            * (1.0 - 1.5 * p.mu * p.a2 / (1.0 - p.mu))
-            / (3.0 * w3)
-        )
-        r2 = 1.0 + p.mu * (1.0 - 2.0 * p.rc) * p.mb / (3.0 * w3)
-    else:
-        rs2 = (1.0 - p.mu) * p.q1 ** (2.0 / 3.0) + p.mu**2
-        passes = 1 if p.mb == 0.0 else 2
-        for _ in range(passes):
-            rhs = p.n2 - p.mb / (rs2 + p.t2) ** 1.5
-            if rhs <= 0.0:
-                raise NoTriangularPointsError(
-                    "belt attraction exceeds the rotational balance at the "
-                    "reference radius; no off-axis equilibria"
-                )
-            r1 = (p.q1 / rhs) ** (1.0 / 3.0)
-            r2 = _solve_r2(p.a2, rhs)
-            xpm, y2 = _circle_cross(r1, r2)
-            rs2 = y2 + (xpm - p.mu) ** 2
+    if radii == "consistent" or p.q1 <= 0.0:  # find_triangular refuses q1 <= 0
+        return find_triangular(p)
+    w3 = (p.rc**2 + p.t2) ** 1.5
+    r1 = p.q1 ** (1.0 / 3.0) * (
+        1.0
+        - 0.5 * p.a2
+        + (1.0 - 2.0 * p.rc)
+        * p.mb
+        * (1.0 - 1.5 * p.mu * p.a2 / (1.0 - p.mu))
+        / (3.0 * w3)
+    )
+    r2 = 1.0 + p.mu * (1.0 - 2.0 * p.rc) * p.mb / (3.0 * w3)
     xpm, y2 = _circle_cross(r1, r2)
+    if y2 <= 0.0:
+        raise NoTriangularPointsError(
+            f"circles r1 = {r1:.6g}, r2 = {r2:.6g} do not intersect off the "
+            "axis; no triangular points for these parameters"
+        )
     x = xpm - p.mu
     y = math.sqrt(y2)
     return _point(p, "L4", x, y), _point(p, "L5", x, -y)
@@ -592,84 +560,75 @@ def triangular_analytic(
 def _circle_cross(r1: float, r2: float) -> tuple[float, float]:
     """Intersection of circles of radius r1 about the bigger primary and r2
     about the smaller (unit separation): abscissa measured from the bigger
-    primary, and y^2."""
+    primary, and y^2, which is not positive where they miss off the axis."""
     xpm = 0.5 * (1.0 + r1 * r1 - r2 * r2)
-    y2 = r1 * r1 - xpm * xpm
-    if y2 <= 0.0:
-        raise NoTriangularPointsError(
-            f"circles r1 = {r1:.6g}, r2 = {r2:.6g} do not intersect off the "
-            "axis; no triangular points for these parameters"
-        )
-    return xpm, y2
+    return xpm, r1 * r1 - xpm * xpm
+
+
+def _merged(inner: bool, certificate: str) -> NoTriangularPointsError:
+    where = "between the primaries" if inner else "left of the bigger primary"
+    return NoTriangularPointsError(
+        f"{certificate}: L4 and L5 have merged into the axis {where}; "
+        "no triangular points for these parameters"
+    )
 
 
 def find_triangular(p: SystemParams) -> tuple[EquilibriumPoint, EquilibriumPoint]:
-    """Refined triangular pair; L5 is constructed as the exact mirror of L4
-    (the potential is even in y, so the reflection is an identity, not an
-    approximation).  The closed-form seed is tried first; where it does
-    not exist or Newton leaves its basin, the continuation from the
-    classical problem decides."""
-    try:
-        seed, _ = triangular_analytic(p)
-        l4 = refine_equilibrium(p, seed)
-        if l4.kind != "L4":
-            raise ConvergenceError("refinement left the upper half-plane", [])
-    except (NumericalError, NoTriangularPointsError):
-        # no closed-form seed, or one outside the Newton basin or leading
-        # to an axis point with no label; the point may still exist, and
-        # the continuation decides
-        l4 = _continuation_triangular(p)
+    """L4 at the one root of F (module docstring) and L5, its exact mirror
+    (the potential is even in y).  Where F keeps its sign on the crossing
+    interval, NoTriangularPointsError names the end that certifies it."""
+    if p.q1 <= 0.0:
+        raise DomainError("triangular points degenerate for q1 <= 0 (r1 -> 0)")
+
+    def r1_of(r2: float) -> float:  # q1/r1^3 = 1/r2^3 + (3/2) a2/r2^5
+        return r2 * (p.q1 / (1.0 + 1.5 * p.a2 / (r2 * r2))) ** (1.0 / 3.0)
+
+    # r2 - 1 first: it is exact near r2 = 1, where r1 may be below its ulp
+    def inner(r2: float) -> float:  # r1 + r2 - 1, rising
+        return r2 - 1.0 + r1_of(r2)
+
+    def outer(r2: float) -> float:  # r2 - r1 - 1, rising where it is 0
+        return r2 - 1.0 - r1_of(r2)
+
+    def F(r2: float) -> float:
+        r1 = r1_of(r2)
+        f = p.n2 - (1.0 + 1.5 * p.a2 / (r2 * r2)) / (r2 * r2 * r2)
+        if p.mb:
+            # w = r^2 + T^2 is 0 or rounds below it where the point is the origin
+            w = max((1.0 - p.mu) * r1 * r1 + p.mu * r2 * r2 - p.mu * (1.0 - p.mu) + p.t2, 0.0)
+            w3 = w * math.sqrt(w)
+            f -= p.mb / w3 if w3 else math.inf
+        return f
+
+    # r1 <= r2, so the circles first cross (r1 + r2 = 1) for r2 in [1/2, 1];
+    # each end moves off the crossing to the float where its certificate holds
+    lo = brent(inner, 0.5, 1.0, inner(0.5), inner(1.0))
+    while inner(lo) > 0.0:
+        lo = math.nextafter(lo, 0.0)
+    f_lo = F(lo)
+    if f_lo > 0.0:
+        raise _merged(True, f"F(r2) rises and is {f_lo:.3e} > 0 already where the "
+                      f"circles first cross (r2 = {lo:.17g}, r1 + r2 = 1)")
+    # double r2 until F turns positive inside the crossing or the circles part
+    # (r2 - r1 = 1): one of the two comes first, as F -> n^2 >= 1 for r2 -> inf
+    hi = 1.0
+    while outer(hi) < 0.0 and F(hi) <= 0.0:
+        hi *= 2.0
+    if outer(hi) >= 0.0:
+        hi = brent(outer, 0.5 * hi, hi, outer(0.5 * hi), outer(hi))
+        while outer(hi) < 0.0:
+            hi = math.nextafter(hi, math.inf)
+        if F(hi) < 0.0:
+            raise _merged(False, f"F(r2) rises and is still {F(hi):.3e} < 0 where the "
+                          f"circles last cross (r2 = {hi:.17g}, r2 - r1 = 1)")
+    r2 = brent(F, lo, hi, f_lo, F(hi))
+    xpm, y2 = _circle_cross(r1_of(r2), r2)
+    l4 = refine_equilibrium(p, (xpm - p.mu, math.sqrt(max(y2, 0.0))))
+    if l4.kind != "L4":
+        raise _merged(xpm > 0.0, f"F(r2) has its root at r2 = {r2:.17g}, whose point lies "
+                      "within rounding of the axis")
     l5 = EquilibriumPoint("L5", l4.x, -l4.y, l4.r1, l4.r2, l4.residual)
     return l4, l5
-
-
-def _continuation_triangular(p: SystemParams) -> EquilibriumPoint:
-    """Walk the perturbations up from the classical problem with adaptive
-    steps, re-refining at each stage.  Slow path; only used when the direct
-    seed is missing or fails the basin check.
-
-    A stage that keeps failing at arbitrarily small steps means the
-    off-axis family has terminated (the point merges with the axis) before
-    the requested parameters are reached; that is a no-triangular-points
-    outcome, not a solver failure."""
-    from dataclasses import replace
-
-    guess = (0.5 - p.mu, math.sqrt(3.0) / 2.0)
-    frac, step = 0.0, 0.25
-    point = refine_equilibrium(p if _is_classical(p) else replace(p, q1=1.0, a2=0.0, mb=0.0), guess)
-    stages = 0
-    while frac < 1.0:
-        stages += 1
-        if stages > 200:
-            raise ConvergenceError("continuation exceeded 200 stages", [])
-        nxt = min(1.0, frac + step)
-        stage = replace(
-            p,
-            q1=1.0 - nxt * (1.0 - p.q1),
-            a2=nxt * p.a2,
-            mb=nxt * p.mb,
-        )
-        try:
-            cand = refine_equilibrium(stage, guess)
-        except NumericalError:  # no convergence, or an axis point with no label
-            cand = None
-        if cand is None or cand.kind != "L4":
-            step *= 0.5
-            if step < 1e-3:
-                raise NoTriangularPointsError(
-                    "off-axis equilibrium family terminates about "
-                    f"{frac:.3f} of the way to the requested parameters; "
-                    "no triangular points exist there"
-                )
-            continue
-        frac, point = nxt, cand
-        guess = (cand.x, cand.y)
-        step = min(2.0 * step, 0.25)
-    return point
-
-
-def _is_classical(p: SystemParams) -> bool:
-    return p.q1 == 1.0 and p.a2 == 0.0 and p.mb == 0.0
 
 
 def find_all(p) -> list:

@@ -337,7 +337,7 @@ def critical_mass_exact(base: SystemParams, k: int) -> float:
                / (6 (g + K b2^2)),
 
     the smaller root in mu of K (b1 - 3 mu b2)^2 = 9 mu (1 - mu) g with g
-    held fixed.  g is the bracket at the Newton-refined triangular point, so
+    held fixed.  g is the bracket at the triangular point, so
     it depends on mu; the root of that residual with g = g(mu) is found by
     _resonance_root.  The published radical carries 12 b1 b2; the K factor
     restored here is required for the classical limit to reduce to the

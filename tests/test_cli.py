@@ -197,6 +197,19 @@ class TestEquilibriaCommand:
         resid = doc["columns"].index("residual")
         assert all(row[resid] <= 1e-12 for row in doc["rows"])
 
+    def test_seven_points_where_a_continuation_found_no_l4(self, tmp_path):
+        argv = ["equilibria", "--mu", "0.016020926592995498", "--q1", "0.11262559812232407",
+                "--a2", "0.0869048478460272", "--mb", "1.4357432125581702",
+                "--t", "0.0011613021209123916", "--rc", "0.24155013631174327"]
+        code, text = run_to_file(tmp_path, argv)
+        assert code == EXIT_OK
+        rows = {row[0]: row for row in json.loads(text)["rows"]}
+        assert list(rows) == ["L3", "Xb2", "Xb1", "L1", "L2", "L4", "L5"]
+        l4, l5 = rows["L4"], rows["L5"]
+        assert l4[1] == pytest.approx(0.272664, abs=1e-6)
+        assert l4[2] == pytest.approx(0.152407, abs=1e-6)
+        assert l5[1:] == [l4[1], -l4[2], *l4[3:]]
+
     def test_csv_schema_header(self, tmp_path):
         code, text = run_to_file(tmp_path, ["equilibria", "--format", "csv"], "e.csv")
         assert code == EXIT_OK

@@ -229,8 +229,12 @@ class TestTriangularAnalytic:
             triangular_analytic(p)
 
     def test_belt_overwhelms_balance(self):
-        with pytest.raises(NoTriangularPointsError, match="belt attraction"):
+        # the belt keeps F negative up to where the circles part, so the
+        # pair has merged into the axis at L3
+        with pytest.raises(NoTriangularPointsError) as info:
             triangular_analytic(SystemParams(mu=0.025, q1=0.001, mb=0.6))
+        assert "< 0 where the circles last cross" in str(info.value)
+        assert "left of the bigger primary" in str(info.value)
 
     def test_circles_fail_to_intersect(self):
         with pytest.raises(NoTriangularPointsError, match="do not intersect"):
@@ -264,6 +268,13 @@ class TestRefinement:
         assert len(exc.value.trace) >= 2
         assert "last iterates" in str(exc.value)
 
+    def test_point_next_to_the_axis_snaps_onto_it(self, classical):
+        # 1.2e-12 above L3, the pull Omega_yy y is below the 1e-13 residual
+        # test, so the point is L3 on the axis
+        e = refine_equilibrium(classical, (L3_X, 1.2e-12))
+        assert e.kind == "L3" and e.y == 0.0
+        assert e.x == pytest.approx(L3_X, abs=1e-14)
+
     def test_point_is_frozen(self, classical):
         e = refine_equilibrium(classical, (0.75, 0.0))
         with pytest.raises(FrozenInstanceError):
@@ -286,47 +297,26 @@ class TestFindTriangular:
         assert l4.r1 < 1.0 and l4.y < L4_Y
 
     def test_analytic_seed_exact_without_belt(self):
+        # without belt and oblateness the printed series radii,
+        # r1 = q1^{1/3} and r2 = 1, are exact
         for p in (
-            SystemParams(mu=0.025, a2=0.04),
             SystemParams(mu=0.025, q1=0.6),
-            SystemParams(mu=0.3, q1=0.75, a2=0.02),
+            SystemParams(mu=0.3, q1=0.75),
+            SystemParams(mu=0.5, q1=0.01),
         ):
-            seed, _ = triangular_analytic(p)
-            refined, _ = find_triangular(p)
-            assert math.hypot(seed.x - refined.x, seed.y - refined.y) <= 1e-12
+            seed, _ = triangular_analytic(p, radii="printed")
+            exact, _ = find_triangular(p)
+            assert math.hypot(seed.x - exact.x, seed.y - exact.y) <= 1e-12
 
-    def test_seed_landing_on_the_axis_falls_to_continuation(self):
-        # Newton from the closed-form seed stops 1.2e-12 above L3 here, where
-        # Omega_yy * y is below its 1e-13 residual test: refinement puts the
-        # point on the axis, and the continuation finds L4
+    def test_l4_where_a_seed_refined_onto_l3(self):
+        # Newton from an approximate closed-form seed stopped 1.2e-12 above
+        # L3 here, and the refinement put that point on the axis
         p = SystemParams(mu=0.024293897142052323, q1=0.75, mb=0.6)
-        on_axis = refine_equilibrium(p, triangular_analytic(p)[0])
-        assert on_axis.kind == "L3" and on_axis.y == 0.0
         l4, l5 = find_triangular(p)
         near, _ = find_triangular(SystemParams(mu=0.025, q1=0.75, mb=0.6))
         assert l4.kind == "L4" and l4.y > 0.5 and l5.y == -l4.y
         assert math.hypot(l4.x - near.x, l4.y - near.y) <= 1e-2
         assert l4.residual <= 1e-12
-
-    def test_analytic_gap_quadratic_in_belt_mass(self):
-        def gap(mb):
-            p = SystemParams(mu=0.025, mb=mb)
-            a, _ = triangular_analytic(p)
-            r, _ = find_triangular(p)
-            return math.hypot(a.x - r.x, a.y - r.y)
-
-        g_full, g_half = gap(0.4), gap(0.2)
-        assert g_full > 1e-6  # the gap is real
-        assert g_full / g_half >= 4.0
-
-    def test_analytic_gap_quadratic_mixed_direction(self):
-        def gap(s):
-            p = SystemParams(mu=0.025, q1=1 - 0.25 * s, a2=0.04 * s, mb=0.4 * s)
-            a, _ = triangular_analytic(p)
-            r, _ = find_triangular(p)
-            return math.hypot(a.x - r.x, a.y - r.y)
-
-        assert gap(1.0) / gap(0.5) >= 4.0
 
 
 class TestFindAll:
@@ -338,11 +328,10 @@ class TestFindAll:
         kinds = [e.kind for e in find_all(STRONG_BELT)]
         assert kinds == ["L3", "Xb2", "Xb1", "L1", "L2", "L4", "L5"]
 
-    def test_continuation_when_the_seed_does_not_exist(self):
-        # the closed-form seed finds no circle crossing, yet L4 exists
+    def test_l4_where_a_two_pass_seed_found_no_crossing(self):
+        # an approximate seed, the belt radius taken at the classical
+        # point and then once at its own, found no circle crossing here
         p = SystemParams(mu=0.1674, mb=0.9)
-        with pytest.raises(NoTriangularPointsError):
-            triangular_analytic(p)
         l4, l5 = find_triangular(p)
         assert l4.kind == "L4"
         assert l4.x == pytest.approx(0.3326, abs=1e-9)

@@ -591,13 +591,6 @@ coefficient_pairs = st.one_of(
 )
 
 
-def _quiet_points(find, p):
-    # at q1 ~ 5e-324 the continuation's stage q1 = 1 - (1 - q1) rounds to 0 and warns
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return find(p)
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -620,7 +613,7 @@ def test_decision_matches_legacy(bd):
 @given(box)
 def test_classify_matches_legacy_over_the_box(p):
     try:
-        points = _quiet_points(find_all, p)
+        points = find_all(p)
     except (DomainError, NumericalError):
         return
     for e in points:
@@ -633,7 +626,7 @@ def test_closed_critical_mass_g_matches_legacy(p, k):
     """critical_mass_exact's residual, taken from the root search, equals
     the residual built on the legacy bracket bit for bit."""
     try:
-        points = _quiet_points(find_triangular, p)
+        points = find_triangular(p)
     except (DomainError, NumericalError):
         return
     residuals = []
