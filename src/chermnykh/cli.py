@@ -462,31 +462,34 @@ def _reproduce_critical_masses() -> TableArtifact:
         "q1", "k", "a2", "mb",
         "mu_ref", "mu_computed", "delta", "provenance", "note",
     )
+    cells = [(q1, k, a2, mb) for q1 in rd.MASS_Q1_VALUES for k in rd.RESONANCE_ORDERS
+             for a2, mb in rd.MASS_COLUMNS]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bases = [SystemParams(mu=0.025, q1=q1, a2=a2, mb=mb) for q1, _, a2, mb in cells]
+        try:  # one call: the searches run as lanes
+            mus = critical_mass_exact(bases, [k for _, k, _, _ in cells])
+        except (DomainError, NumericalError) as exc:
+            mus = [exc] * len(cells)
     rows = []
-    for q1 in rd.MASS_Q1_VALUES:
-        for k in rd.RESONANCE_ORDERS:
-            for a2, mb in rd.MASS_COLUMNS:
-                ref = rd.CRITICAL_MASS_TABLE[(q1, k)][(a2, mb)]
-                status = rd.critical_mass_cell_status(q1, k, a2, mb)
-                notes = []
-                if (a2, mb) == (0.0, 0.2):
-                    notes.append(_HEADER_NOTE)
-                if status == "garbled":
-                    notes.append("printed value repeats the k = 4 cell below it")
-                try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        base = SystemParams(mu=0.025, q1=q1, a2=a2, mb=mb)
-                        mu = critical_mass_exact(base, k)
-                    delta = abs(mu - ref)
-                except (DomainError, NumericalError) as exc:
-                    mu = delta = math.nan
-                    notes.append(_failure_note(exc))
-                rows.append(
-                    (q1, k, a2, mb, ref, mu, delta,
-                     "reproduced" if status == "normative" else status,
-                     "; ".join(notes))
-                )
+    for (q1, k, a2, mb), mu in zip(cells, mus):
+        ref = rd.CRITICAL_MASS_TABLE[(q1, k)][(a2, mb)]
+        status = rd.critical_mass_cell_status(q1, k, a2, mb)
+        notes = []
+        if (a2, mb) == (0.0, 0.2):
+            notes.append(_HEADER_NOTE)
+        if status == "garbled":
+            notes.append("printed value repeats the k = 4 cell below it")
+        if isinstance(mu, Exception):
+            notes.append(_failure_note(mu))
+            mu = delta = math.nan
+        else:
+            delta = abs(mu - ref)
+        rows.append(
+            (q1, k, a2, mb, ref, mu, delta,
+             "reproduced" if status == "normative" else status,
+             "; ".join(notes))
+        )
     return TableArtifact("table2", columns, tuple(rows))
 
 

@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,9 +64,11 @@ from .errors import (
     ScanError,
 )
 from .model import (
+    SINGULARITY_RADIUS,
     THIN_BELT,
     LaneParams,
     SystemParams,
+    check_regular,
     force_scale,
     kernel,
     omega_grad,
@@ -139,8 +141,8 @@ def require_refined(p: SystemParams, e: EquilibriumPoint) -> None:
         )
 
 
-def _point(p: SystemParams, kind: str, x: float, y: float) -> EquilibriumPoint:
-    gx, gy = omega_grad(p, x, y)
+def _point(p: SystemParams, kind: str, x: float, y: float, grad=None) -> EquilibriumPoint:
+    gx, gy = grad or omega_grad(p, x, y)  # grad: the gradient at (x, y) if known
     r1 = math.hypot(x + p.mu, y)
     r2 = math.hypot(x + p.mu - 1.0, y)
     return EquilibriumPoint(kind, x, y, r1, r2, max(abs(gx), abs(gy)))
@@ -477,7 +479,9 @@ def refine_equilibrium(p: SystemParams, guess) -> EquilibriumPoint:
         x, y = float(guess[0]), float(guess[1])
     trace: list[tuple[float, float, float]] = []
     for it in range(50):
-        gx, gy = omega_grad(p, x, y)
+        check_regular(p, x, y)  # one guarded kernel evaluation per iterate
+        grad, hessian = kernel(p, x, y, 2)
+        gx, gy = grad
         res = max(abs(gx), abs(gy))
         trace.append((x, y, res))
         if res <= 1e-13:
@@ -486,7 +490,7 @@ def refine_equilibrium(p: SystemParams, guess) -> EquilibriumPoint:
             raise ConvergenceError(
                 "guess not in a Newton basin (residual not decreasing)", trace
             )
-        oxx, oxy, oyy = omega_hessian(p, x, y)
+        oxx, oxy, oyy = hessian
         det = oxx * oyy - oxy * oxy
         if abs(det) < 1e-14:
             raise ConvergenceError(
@@ -497,6 +501,7 @@ def refine_equilibrium(p: SystemParams, guess) -> EquilibriumPoint:
         x -= dx
         y -= dy
         if max(abs(dx), abs(dy)) <= 1e-15:
+            grad = None  # (x, y) has moved since
             break
     else:
         raise ConvergenceError("no convergence within 50 iterations", trace)
@@ -504,10 +509,10 @@ def refine_equilibrium(p: SystemParams, guess) -> EquilibriumPoint:
     # of the axis or one whose pull Omega_yy * y (Omega_yy of the last step)
     # is below its 1e-13 residual test; collinear points carry y = 0 exactly
     if it == 0:
-        oyy = omega_hessian(p, x, y)[2]
+        oyy = (hessian if grad else omega_hessian(p, x, y))[2]
     if abs(y) <= 1e-12 or abs(y * oyy) <= 1e-13:
-        y = 0.0
-    return _point(p, _positional_kind(p, x, y), x, y)
+        y, grad = 0.0, None
+    return _point(p, _positional_kind(p, x, y), x, y, grad)
 
 
 def _positional_kind(p: SystemParams, x: float, y: float) -> str:
@@ -573,62 +578,149 @@ def _merged(inner: bool, certificate: str) -> NoTriangularPointsError:
     )
 
 
+def _r1_of(q1, a2, r2):
+    """r1 of r2 by q1/r1^3 = 1/r2^3 + (3/2) a2/r2^5, on floats or arrays, whose
+    cube roots are float ** (1/3), libm's pow: numpy's power and cbrt differ."""
+    c = q1 / (1.0 + 1.5 * a2 / (r2 * r2))
+    if type(c) is float:
+        return r2 * c ** (1.0 / 3.0)
+    return r2 * np.array(list(map(pow, c.tolist(), [1.0 / 3.0] * c.size)))
+
+
+def _F(p, r1, r2):
+    """F (module docstring) at r2 and its r1, on floats or on lanes' arrays."""
+    f = p.n2 - (1.0 + 1.5 * p.a2 / (r2 * r2)) / (r2 * r2 * r2)
+    if type(p.mb) is np.ndarray or p.mb:  # lanes, or a belt
+        # w = r^2 + T^2 is 0 or rounds below it where the point is the origin
+        w = (1.0 - p.mu) * r1 * r1 + p.mu * r2 * r2 - p.mu * (1.0 - p.mu) + p.t2
+        if type(w) is not float:  # lanes, under their errstate: M_b / 0 is inf
+            return f - p.mb / (np.maximum(w, 0.0) * np.sqrt(np.maximum(w, 0.0)))
+        w3 = max(w, 0.0) * math.sqrt(max(w, 0.0))
+        f -= p.mb / w3 if w3 else math.inf
+    return f
+
+
+class _Crossings:
+    """The ends of find_triangular's r2 interval, which depend on q1 and A2
+    alone: lo, where the circles first cross (r1 + r2 = 1, in [1/2, 1]), and
+    end(j), the doubling's j-th r2: 2^j, or where the circles part (r2 - r1
+    = 1) by 2^j; each at the float where its certificate holds."""
+
+    def __init__(self, q1: float, a2: float):
+        self.q1, self.a2, self._ends = q1, a2, []
+
+        def inner(r2: float) -> float:  # r1 + r2 - 1, rising
+            # r2 - 1 first: it is exact near r2 = 1, where r1 may be below its ulp
+            return r2 - 1.0 + _r1_of(q1, a2, r2)
+
+        self.lo = brent(inner, 0.5, 1.0, inner(0.5), inner(1.0))
+        while inner(self.lo) > 0.0:
+            self.lo = math.nextafter(self.lo, 0.0)
+
+    def outer(self, r2: float) -> float:  # r2 - r1 - 1, rising where it is 0
+        return r2 - 1.0 - _r1_of(self.q1, self.a2, r2)
+
+    def end(self, j: int) -> tuple[float, bool]:
+        """(r2, whether the circles part there); none is asked past that."""
+        while len(self._ends) <= j:
+            hi = 2.0 ** len(self._ends)
+            part = self.outer(hi) >= 0.0
+            if part:
+                hi = brent(self.outer, 0.5 * hi, hi, self.outer(0.5 * hi), self.outer(hi))
+                while self.outer(hi) < 0.0:
+                    hi = math.nextafter(hi, math.inf)
+            self._ends.append((hi, part))
+        return self._ends[j]
+
+
 def find_triangular(p: SystemParams) -> tuple[EquilibriumPoint, EquilibriumPoint]:
     """L4 at the one root of F (module docstring) and L5, its exact mirror
     (the potential is even in y).  Where F keeps its sign on the crossing
     interval, NoTriangularPointsError names the end that certifies it."""
     if p.q1 <= 0.0:
         raise DomainError("triangular points degenerate for q1 <= 0 (r1 -> 0)")
-
-    def r1_of(r2: float) -> float:  # q1/r1^3 = 1/r2^3 + (3/2) a2/r2^5
-        return r2 * (p.q1 / (1.0 + 1.5 * p.a2 / (r2 * r2))) ** (1.0 / 3.0)
-
-    # r2 - 1 first: it is exact near r2 = 1, where r1 may be below its ulp
-    def inner(r2: float) -> float:  # r1 + r2 - 1, rising
-        return r2 - 1.0 + r1_of(r2)
-
-    def outer(r2: float) -> float:  # r2 - r1 - 1, rising where it is 0
-        return r2 - 1.0 - r1_of(r2)
+    c = _Crossings(p.q1, p.a2)
 
     def F(r2: float) -> float:
-        r1 = r1_of(r2)
-        f = p.n2 - (1.0 + 1.5 * p.a2 / (r2 * r2)) / (r2 * r2 * r2)
-        if p.mb:
-            # w = r^2 + T^2 is 0 or rounds below it where the point is the origin
-            w = max((1.0 - p.mu) * r1 * r1 + p.mu * r2 * r2 - p.mu * (1.0 - p.mu) + p.t2, 0.0)
-            w3 = w * math.sqrt(w)
-            f -= p.mb / w3 if w3 else math.inf
-        return f
+        return _F(p, _r1_of(p.q1, p.a2, r2), r2)
 
-    # r1 <= r2, so the circles first cross (r1 + r2 = 1) for r2 in [1/2, 1];
-    # each end moves off the crossing to the float where its certificate holds
-    lo = brent(inner, 0.5, 1.0, inner(0.5), inner(1.0))
-    while inner(lo) > 0.0:
-        lo = math.nextafter(lo, 0.0)
-    f_lo = F(lo)
+    f_lo = F(c.lo)
     if f_lo > 0.0:
         raise _merged(True, f"F(r2) rises and is {f_lo:.3e} > 0 already where the "
-                      f"circles first cross (r2 = {lo:.17g}, r1 + r2 = 1)")
-    # double r2 until F turns positive inside the crossing or the circles part
-    # (r2 - r1 = 1): one of the two comes first, as F -> n^2 >= 1 for r2 -> inf
-    hi = 1.0
-    while outer(hi) < 0.0 and F(hi) <= 0.0:
-        hi *= 2.0
-    if outer(hi) >= 0.0:
-        hi = brent(outer, 0.5 * hi, hi, outer(0.5 * hi), outer(hi))
-        while outer(hi) < 0.0:
-            hi = math.nextafter(hi, math.inf)
-        if F(hi) < 0.0:
-            raise _merged(False, f"F(r2) rises and is still {F(hi):.3e} < 0 where the "
-                          f"circles last cross (r2 = {hi:.17g}, r2 - r1 = 1)")
-    r2 = brent(F, lo, hi, f_lo, F(hi))
-    xpm, y2 = _circle_cross(r1_of(r2), r2)
+                      f"circles first cross (r2 = {c.lo:.17g}, r1 + r2 = 1)")
+    # double r2 until F turns positive inside the crossing or the circles part:
+    # one of the two comes first, as F -> n^2 >= 1 for r2 -> inf
+    j, (hi, part) = 0, c.end(0)
+    while not part and F(hi) <= 0.0:
+        j += 1
+        hi, part = c.end(j)
+    if part and F(hi) < 0.0:
+        raise _merged(False, f"F(r2) rises and is still {F(hi):.3e} < 0 where the "
+                      f"circles last cross (r2 = {hi:.17g}, r2 - r1 = 1)")
+    r2 = brent(F, c.lo, hi, f_lo, F(hi))
+    xpm, y2 = _circle_cross(_r1_of(p.q1, p.a2, r2), r2)
     l4 = refine_equilibrium(p, (xpm - p.mu, math.sqrt(max(y2, 0.0))))
     if l4.kind != "L4":
         raise _merged(xpm > 0.0, f"F(r2) has its root at r2 = {r2:.17g}, whose point lies "
                       "within rounding of the axis")
     l5 = EquilibriumPoint("L5", l4.x, -l4.y, l4.r1, l4.r2, l4.residual)
     return l4, l5
+
+
+_L4Lane = namedtuple("_L4Lane", "x y r1 r2")
+
+
+def _triangular_lanes(q: LaneParams, ps, crossings) -> list:
+    """find_triangular's L4 per lane of arrays q, each at its own mu, as an
+    _L4Lane or the error that stops it (ps[i]: the lane's SystemParams but
+    for mu, q1 > 0).  The lanes take find_triangular's IEEE operations, with
+    one brent_lanes for F; one that a check would stop or Newton would move
+    runs find_triangular itself."""
+    m = q.mu.size
+    out, mu, k = [None] * m, q.mu.tolist(), np.arange(m)
+
+    def leave(off):  # the lanes k[off] run find_triangular itself
+        nonlocal k
+        for i in k[off].tolist():
+            try:
+                l4 = find_triangular(replace(ps[i], mu=mu[i]))[0]
+                out[i] = _L4Lane(l4.x, l4.y, l4.r1, l4.r2)
+            except (DomainError, NumericalError) as exc:
+                out[i] = exc
+        k = k[~off]
+
+    def F(i, r2):  # at r2 for the lanes i
+        qi = q.at(i)
+        return _F(qi, _r1_of(qi.q1, qi.a2, r2), r2)
+
+    with np.errstate(all="ignore"):  # in lanes that have left
+        leave(~((q.mu > 0.0) & (q.mu <= 0.5)))  # SystemParams refuses them
+        lo, f_lo, hi, f_hi = np.array([c.lo for c in crossings]), *np.zeros((3, m))
+        f_lo[k] = F(k, lo[k])
+        leave(f_lo[k] > 0.0)
+        part, todo, j = np.zeros(m, dtype=bool), k, 0
+        while todo.size:  # the doubling, to F > 0 or to where the circles part
+            r2, last = map(np.array, zip(*(crossings[i].end(j) for i in todo.tolist())))
+            f = F(todo, r2)
+            stop = last | ~(f <= 0.0)
+            hi[todo[stop]], f_hi[todo[stop]], part[todo[stop]] = r2[stop], f[stop], last[stop]
+            todo, j = todo[~stop], j + 1
+        leave(part[k] & (f_hi[k] < 0.0))
+        r2 = np.ones(m)
+        r2[k] = brent_lanes(lambda i, x: F(k[i], x), lo[k], hi[k], f_lo[k], f_hi[k])
+        xpm, y2 = _circle_cross(_r1_of(q.q1, q.a2, r2), r2)
+        x, y = xpm - q.mu, np.sqrt(np.maximum(y2, 0.0))
+        # refine_equilibrium from (x, y): check_regular, then at iteration 0
+        # the residual test and the on-axis snap
+        s = x + q.mu
+        near = np.minimum(s * s, (s - 1.0) * (s - 1.0)) + y * y < SINGULARITY_RADIUS**2
+        (gx, gy), (_, _, oyy) = kernel(q, x, y, 2)
+        leave((near | ((q.mb > 0.0) & (q.t_belt < THIN_BELT)) | ~(np.maximum(abs(gx), abs(gy)) <= 1e-13)
+               | (abs(y) <= 1e-12) | (abs(y * oyy) <= 1e-13))[k])
+    x, y = x.tolist(), y.tolist()
+    for i in k.tolist():
+        out[i] = _L4Lane(x[i], y[i], math.hypot(x[i] + mu[i], y[i]), math.hypot(x[i] + mu[i] - 1.0, y[i]))
+    return out
 
 
 def find_all(p) -> list:

@@ -156,8 +156,8 @@ def kernel(p: SystemParams, x, y, order: int):
     gradient and the Hessian, ((Omega_x, Omega_y), (Omega_xx, Omega_xy,
     Omega_yy)) (order 2), at (x, y), with no singularity guard.
 
-    x and y are floats or numpy arrays that broadcast together; orders 0 and
-    1 also take a LaneParams p that broadcasts with them.  The body
+    x and y are floats or numpy arrays that broadcast together; p may also
+    be a LaneParams that broadcasts with them.  The body
     uses only + - * / and the correctly rounded square root of its operand
     kind, math.sqrt on plain floats and np.sqrt otherwise, so a float and
     the same point inside an array give bit-identical results.  (Python's
@@ -202,11 +202,15 @@ def kernel(p: SystemParams, x, y, order: int):
     oxx = p.n2 - a + a3 * s * s - b + b3 * u * u - c + c5 * u * u
     oyy = p.n2 - a + a3 * yy - b + b3 * yy - c + c5 * yy
     oxy = (a3 * s + (b3 + c5) * u) * y
-    if p.mb:
+    if type(p.mb) is np.ndarray or p.mb:  # lanes, or a belt
         # 3 bw / w = 3 M_b / w^{5/2} overflows in the core of a belt thinner
         # than ~1e-61, so there 1/w comes last; wider belts multiply by 1.0,
         # which keeps their results bit for bit
-        bw3, inv_w = (3.0 * bw / w, 1.0) if p.t_belt > 1e-50 else (3.0 * bw, 1.0 / w)
+        if type(p.t_belt) is np.ndarray:  # the switch per lane
+            wide = p.t_belt > 1e-50
+            bw3, inv_w = np.where(wide, 3.0 * bw / w, 3.0 * bw), np.where(wide, 1.0, 1.0 / w)
+        else:
+            bw3, inv_w = (3.0 * bw / w, 1.0) if p.t_belt > 1e-50 else (3.0 * bw, 1.0 / w)
         oxx = oxx - bw + bw3 * x * x * inv_w
         oyy = oyy - bw + bw3 * yy * inv_w
         oxy = oxy + bw3 * x * y * inv_w

@@ -21,7 +21,9 @@ published linear-in-perturbation series.  The first two are roots in mu of
 a residual at the refined point: _resonance_root brackets a sign change
 from the classical mu_k and finishes it with equilibria.brent, the same
 Brent solver that polishes the axis roots.  stability_flip runs it on the
-classification.
+classification.  critical_mass_exact also takes lists, whose searches
+_resonance_roots runs as lanes, each with the scalar search's float bit for
+bit (README, "How critical masses are found"); table2 makes one such call.
 """
 
 from __future__ import annotations
@@ -37,7 +39,10 @@ import numpy as np
 from .reference_data import LINEAR_SERIES
 from .equilibria import (
     EquilibriumPoint,
+    _Crossings,
+    _triangular_lanes,
     brent,
+    brent_lanes,
     find_triangular,
     require_refined,
 )
@@ -48,6 +53,7 @@ from .errors import (
     NumericalError,
 )
 from .model import (
+    LaneParams,
     SystemParams,
     check_regular,
     omega_hessian,
@@ -300,6 +306,11 @@ def classical_resonance_mu(k: int) -> float:
     return 0.5 * (1.0 - math.sqrt(1.0 - 16.0 * K / 27.0))
 
 
+def _no_crossing(k: int, start: float, mu: float) -> NoResonanceError:
+    return NoResonanceError(f"no resonance crossing in (0, 1/2] for k = {k}: the residual "
+                            f"keeps its sign from mu = {start:.6g} to {mu:.3g}")
+
+
 def _resonance_root(base: SystemParams, k: int, residual) -> float:
     """Mass ratio where residual(stage, L4) changes sign, L4 being the
     refined triangular point of base at that mass ratio.
@@ -320,17 +331,82 @@ def _resonance_root(base: SystemParams, k: int, residual) -> float:
     a, fa = b, fb
     while fb != 0.0 and (fa > 0.0) == (fb > 0.0):
         if not 1e-6 <= b < 0.5:
-            raise NoResonanceError(
-                f"no resonance crossing in (0, 1/2] for k = {k}: the residual "
-                f"keeps its sign from mu = {start:.6g} to {b:.3g}"
-            )
+            raise _no_crossing(k, start, b)
         a, fa = b, fb
         b = min(factor * b, 0.5)
         fb = f(b)
     return brent(f, a, b, fa, fb, atol=1e-15)
 
 
-def critical_mass_exact(base: SystemParams, k: int) -> float:
+def _resonance_roots(bases, ks, make_residual) -> list:
+    """_resonance_root(bases[i], ks[i], make_residual(bases[i], ks[i])), or
+    the error that stops it, for every lane i at once: the bracket search
+    with masks, then one brent_lanes in mu.  The stages' L4 come from
+    equilibria._triangular_lanes, and the residuals run on floats."""
+    out, residuals = [None] * len(bases), {}
+    for i, (p, k) in enumerate(zip(bases, ks)):
+        try:
+            residuals[i] = make_residual(p, k)
+            if p.q1 <= 0.0:
+                find_triangular(p)  # refuses it
+        except (DomainError, NumericalError) as exc:
+            out[i] = exc
+    lanes = [i for i, o in enumerate(out) if o is None]
+    if not lanes:
+        return out
+    ps = [bases[i] for i in lanes]
+    ends = {key: _Crossings(*key) for key in {(p.q1, p.a2) for p in ps}}  # on q1, A2 alone
+    crossings = [ends[p.q1, p.a2] for p in ps]
+    q = LaneParams(*map(np.atleast_1d, LaneParams.of(ps)))
+
+    def f(sel, mu):  # at mass ratios mu for the lanes sel; 0.0 stops a lane that fails
+        stage = q.at(sel)._replace(mu=mu)
+        points = _triangular_lanes(stage, [ps[j] for j in sel], [crossings[j] for j in sel])
+        val = np.zeros(sel.size)
+        for n, (j, row, point) in enumerate(zip(sel.tolist(), zip(*(v.tolist() for v in stage)), points)):
+            if isinstance(point, Exception):
+                out[lanes[j]] = point
+            else:
+                val[n] = residuals[lanes[j]](LaneParams._make(row), point)
+        return val
+
+    first = {k: classical_resonance_mu(k) for k in {ks[i] for i in lanes}}
+    start = np.array([first[ks[i]] for i in lanes])
+    todo, b = np.arange(len(lanes)), start.copy()
+    fb = f(todo, b)
+    factor, a, fa = np.where(fb > 0.0, 2.0, 0.5), b.copy(), fb.copy()
+    while True:
+        todo = todo[(fb[todo] != 0.0) & ((fa[todo] > 0.0) == (fb[todo] > 0.0))]
+        far = ~((1e-6 <= b[todo]) & (b[todo] < 0.5))
+        for j in todo[far].tolist():
+            out[lanes[j]] = _no_crossing(ks[lanes[j]], start[j], b[j])
+        todo = todo[~far]
+        if not todo.size:
+            break
+        a[todo], fa[todo] = b[todo], fb[todo]
+        b[todo] = np.minimum(factor[todo] * b[todo], 0.5)
+        fb[todo] = f(todo, b[todo])
+    ok = np.flatnonzero([out[i] is None for i in lanes])
+    roots = brent_lanes(lambda i, x: f(ok[i], x), a[ok], b[ok], fa[ok], fb[ok], atol=1e-15)
+    for j, root in zip(ok.tolist(), roots.tolist()):
+        if out[lanes[j]] is None:
+            out[lanes[j]] = root
+    return out
+
+
+def _closed_residual(base: SystemParams, k: int):
+    """critical_mass_exact's residual(stage, L4) for base and k."""
+    K, b1, b2 = resonance_terms(base, k)
+    w_rc = base.rc**2 + base.t2  # the belt radius frozen at rc, the closed form's convention
+
+    def residual(stage, point) -> float:
+        mu, g = stage.mu, _g_bracket(stage, point.x, point.y, point.r1, point.r2, w_rc)
+        return K * (b1 - 3.0 * mu * b2) ** 2 - 9.0 * mu * (1.0 - mu) * g
+
+    return residual
+
+
+def critical_mass_exact(base, k):
     """Critical mass ratio of the k:1 resonance from the closed expression
 
         mu_k = (3g + 2K b1 b2 - sqrt(g) sqrt(9g - 4K b1^2 + 12K b1 b2))
@@ -341,17 +417,15 @@ def critical_mass_exact(base: SystemParams, k: int) -> float:
     it depends on mu; the root of that residual with g = g(mu) is found by
     _resonance_root.  The published radical carries 12 b1 b2; the K factor
     restored here is required for the classical limit to reduce to the
-    closed classical value.  base's own mu is ignored.
+    closed classical value.  base's own mu is ignored.  For lists of
+    parameter sets and orders, the searches run at once as lanes
+    (_resonance_roots): each gives its float, bit for bit, or its error.
     """
-    K, b1, b2 = resonance_terms(base, k)
-    # the belt radius frozen at rc, the r = rc convention of the closed form
-    w_rc = base.rc**2 + base.t2
-
-    def residual(stage: SystemParams, point: EquilibriumPoint) -> float:
-        mu, g = stage.mu, _g_bracket(stage, point.x, point.y, point.r1, point.r2, w_rc)
-        return K * (b1 - 3.0 * mu * b2) ** 2 - 9.0 * mu * (1.0 - mu) * g
-
-    return _resonance_root(base, k, residual)
+    if not isinstance(base, SystemParams):
+        if len(base) != len(k):
+            raise DomainError(f"{len(base)} parameter sets but {len(k)} orders")
+        return _resonance_roots(base, k, _closed_residual)
+    return _resonance_root(base, k, _closed_residual(base, k))
 
 
 def critical_mass_resonance(base: SystemParams, k: int) -> float:

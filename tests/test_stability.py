@@ -372,8 +372,13 @@ class TestCriticalMassRoots:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_no_sign_change_is_a_typed_error(self, classical, sign):
-        with pytest.raises(NoResonanceError, match="k = 2"):
+        with pytest.raises(NoResonanceError, match="k = 2") as scalar:
             stability._resonance_root(classical, 2, lambda stage, point: sign)
+        # the lane form gives each lane that error, with its own k
+        out = stability._resonance_roots([classical, self.FAULT], [2, 3],
+                                         lambda p, k: lambda stage, point: sign)
+        assert [type(e) for e in out] == [NoResonanceError] * 2
+        assert str(out[0]) == str(scalar.value) and "k = 3:" in str(out[1])
 
 
 class TestCriticalMassLinear:
