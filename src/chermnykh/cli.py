@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -247,7 +248,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call: parse_args leaves it as it was, so callers must not change it."""
     top = _Parser(prog="chermnykh", description=__doc__, add_help=True)
     sub = top.add_subparsers(dest="command", parser_class=_Parser)
 
@@ -366,12 +370,32 @@ def emit_csv(columns, rows) -> str:
     return buf.getvalue()
 
 
+@functools.cache
+def _float_row(n: int) -> str:
+    """The %-format of a JSON row of n floats at 12 significant digits."""
+    return "[\n      " + ",\n      ".join(("%.12g",) * n) + "\n    ]"
+
+
+def _json_row(row) -> str:
+    """One row as json.dumps(obj, indent=2) writes it.  An all-float row is
+    one % format, kept when every cell has a fraction and no exponent: such
+    a .12g token is the repr of the float it parses to, since two decimals
+    of at most 12 digits never round to one normal double and repr, like
+    .12g, writes exponents in [-4, 12) in fixed notation.  Other rows go
+    through _jnum and the C encoder (indent selects the pure-Python one),
+    the separator carrying the indents."""
+    if row and all(type(v) is float for v in row):
+        text = _float_row(len(row)) % tuple(row)
+        if text.count(".") == len(row) and "e" not in text:
+            return text
+    return ("[\n      " + json.dumps([_jnum(v) for v in row], separators=(",\n      ", ": "))[1:-1]
+            + "\n    ]") if row else "[]"
+
+
 def emit_json(columns, rows, meta=None) -> str:
-    """json.dumps(obj, indent=2)'s text, with the rows on the C encoder
-    (indent selects the pure-Python one): the separator carries the indents."""
+    """json.dumps(obj, indent=2)'s text, the rows written by _json_row."""
     head = json.dumps({**(meta or {}), "columns": list(columns), "rows": []}, indent=2)
-    rows = ["[\n      " + json.dumps([_jnum(v) for v in row], separators=(",\n      ", ": "))[1:-1]
-            + "\n    ]" if row else "[]" for row in rows]
+    rows = [_json_row(row) for row in rows]
     body = "[\n    " + ",\n    ".join(rows) + "\n  ]\n}\n" if rows else "[]\n}\n"
     return head.removesuffix("[]\n}") + body
 

@@ -102,6 +102,39 @@ class TestConfigHandling:
         assert "jobs" not in build_config("sweep", {"sweep_mb": "0,0.2"}).to_file_text()
         assert main(["sweep", "--sweep-mb", "0,0.2", "--jobs", "2"]) == EXIT_USAGE
 
+    def test_cached_parser_leaks_nothing_between_calls(self, tmp_path, monkeypatch):
+        conf = tmp_path / "run.conf"
+        conf.write_text("mu = 0.05\ntol = 1e-9\n", encoding="utf-8")
+        calls = [
+            ["integrate", "--tol", "1e-12", "--x0", "0.4"],
+            ["integrate"],  # --tol and --x0 of the call before must not stick
+            ["equilibria", "--config", str(conf), "--mb", "0.2"],
+            ["sweep", "--sweep-mb", "0,0.2", "--format", "json"],
+            ["stability", "--bogus"],
+            ["sweep", "--sweep-q1", "0.5,1"],
+            ["equilibria", "--format", "csv"],
+            ["zvc", "--C", "3.5", "--grid", "64"],
+            ["equilibria"],
+            ["integrate", "--config", str(conf)],
+        ]
+
+        def outcomes():
+            out = []
+            for argv in calls:
+                try:
+                    out.append(config_from_argv(argv))
+                except UsageError as exc:
+                    out.append(("UsageError", str(exc)))
+            return out
+
+        assert cli.build_parser() is cli.build_parser()
+        cached = outcomes() + outcomes()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = outcomes() + outcomes()
+        assert cached == fresh
+        assert cached[1].tol != 1e-12 and cached[1].x0 != 0.4
+        assert cached[4][0] == "UsageError"
+
     def test_config_malformed_line_rejected(self):
         with pytest.raises(UsageError, match="key = value"):
             parse_config("just words\n")
@@ -312,7 +345,35 @@ json_cell = st.one_of(
 )
 
 
+# All-float rows, weighted toward the cells the writer's one-% fast path
+# must hand back: integral floats, zeros of both signs, values of 12 or more
+# integer digits, values that round up a decade, subnormals, nan and inf.
+edge_float = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**60), 2**60).map(float),
+    st.floats(1e11, 1e17) | st.floats(-1e17, -1e11),
+    st.integers(-6, 14).map(lambda k: 10.0**k * (1.0 - 4e-13)),
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.sampled_from((
+        0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf,
+        9.99999999999995e-5, -9.99999999999995e-5, 9.9999999999995e-6, 1e-4, 1e-5,
+        0.099999999999995, 9.9999999999995, 99999999999.95, 999999999999.95, 1e12, 1e16,
+    )),
+)
+float_row = st.lists(edge_float, min_size=1, max_size=6).flatmap(
+    lambda r: st.sampled_from((r, tuple(r)))
+)
+
+
 class TestJsonEmission:
+    @settings(max_examples=300)
+    @given(st.lists(float_row, max_size=6))
+    def test_all_float_rows_same_text_as_indented_dumps(self, rows):
+        columns = ("c",) * max(map(len, rows), default=0)
+        assert emit_json(columns, rows) == _json_reference(columns, rows)
+
+
     @settings(max_examples=200)
     @given(
         st.lists(st.text(max_size=6), max_size=5),
@@ -345,6 +406,19 @@ class TestJsonEmission:
 
 
 class TestIntegrateCommand:
+    def test_zero_jacobi_constant(self, tmp_path):
+        # 2 Omega(0.3, 0.4) = vy0^2 to the last bit: C0 is exactly 0
+        code, text = run_to_file(
+            tmp_path,
+            ["integrate", "--x0", "0.3", "--y0", "0.4", "--vx0", "0",
+             "--vy0", "2.02417416477795", "--tend", "1"],
+        )
+        assert code == EXIT_OK
+        doc = json.loads(text)
+        assert doc["c0"] == 0.0 and doc["status"] == "completed"
+        assert math.isfinite(doc["max_drift"]) and doc["max_drift"] <= 1e-9
+
+
     def test_drift_reported(self, tmp_path):
         code, text = run_to_file(
             tmp_path,

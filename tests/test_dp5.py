@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from chermnykh import cli
 from chermnykh.dynamics import _dp_step, _rhs, integrate
 from chermnykh.errors import IntegrationError, SingularPointError
-from chermnykh.model import SystemParams
+from chermnykh.model import RotState, SystemParams, jacobi_constant
 
 from conftest import CLASSICAL
 from legacy_dp5 import legacy_dp_step, legacy_integrate, legacy_jnum
@@ -161,6 +161,41 @@ def test_runaway_raises_the_same_error():
     new, old = errors
     assert str(new) == str(old)
     assert new.last_state == old.last_state and new.last_time == old.last_time
+
+
+@pytest.mark.parametrize("s0, message", [
+    ((1.7e308, 0.0, 0.0, 0.0), "state became non-finite"),
+    ((0.5, 0.5, 0.0, 1.3e154), "state left the representable range"),  # in the Jacobi check
+])
+def test_failed_steps_raise_the_same_error(s0, message):
+    errors = []
+    for fn in (integrate, legacy_integrate):
+        with pytest.raises(IntegrationError, match=message) as exc:
+            fn(CLASSICAL, s0, 2000.0)
+        errors.append(exc.value)
+    new, old = errors
+    assert str(new) == str(old)
+    assert new.last_state == old.last_state and new.last_time == old.last_time
+
+
+@pytest.mark.parametrize("p, s0, t_end", [
+    (CLASSICAL, (0.475 + 1e-3, math.sqrt(3.0) / 2.0, 0.0, 0.005), 20.0),
+    (SystemParams(mu=0.010594, q1=0.939986, a2=0.007386, mb=0.065491),
+     (-0.0405968242, 0.1622472513, -2.1556809511, -0.3986293522), 5.0),
+])
+def test_step_bookkeeping(p, s0, t_end):
+    traj = integrate(p, s0, t_end)
+    # every sample is the RotState its components validate to
+    assert all(type(s) is RotState and s == RotState(s.x, s.y, s.vx, s.vy, s.t)
+               for s in traj.samples)
+    # max_drift is jacobi_constant's, bit for bit
+    drifts = [abs(jacobi_constant(p, s) - traj.c0) / abs(traj.c0) for s in traj.samples]
+    assert _bits([traj.max_drift]) == _bits([max(drifts)]) and traj.max_drift > 0.0
+    # the Hermite samples between the accepted steps
+    mids = [0.5 * (a.t + b.t) for a, b in zip(traj.samples, traj.samples[1:])]
+    dense = _same_trajectory((p, s0, t_end), {"sample_times": mids})
+    assert len(dense.samples) == len(mids)
+    assert dense.max_drift == traj.max_drift
 
 
 def test_cli_json_equals_the_legacy_path(tmp_path, monkeypatch):

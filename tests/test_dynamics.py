@@ -24,7 +24,7 @@ from chermnykh.dynamics import (
 )
 from chermnykh.equilibria import EquilibriumPoint, find_collinear, find_triangular
 from chermnykh.errors import DomainError, IntegrationError
-from chermnykh.model import RotState, SystemParams, jacobi_constant, omega_grad, omega_grid
+from chermnykh.model import RotState, SystemParams, jacobi_constant, omega, omega_grad, omega_grid
 
 from conftest import CLASSICAL, L4_X, L4_Y
 
@@ -209,6 +209,13 @@ class TestDenseOutput:
         with pytest.raises(DomainError):
             integrate(CLASSICAL, s0, 5.0, sample_times=[1.0, 6.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_requested_times_must_be_finite(self, bad, where):
+        times = [bad, 0.5] if where == "first" else [0.25, bad]
+        with pytest.raises(DomainError, match="sample_times must be finite"):
+            integrate(CLASSICAL, (0.5, 0.5, 0.0, 0.0), 1.0, sample_times=times)
+
     def test_interpolant_preserves_jacobi(self):
         # midpoints of accepted steps are the worst case for the interpolant
         pt = l4()
@@ -260,6 +267,15 @@ class TestFailureModes:
         p = CLASSICAL
         with pytest.raises(Exception):
             integrate(p, (1 - p.mu, 0.0, 0.0, 0.0), 1.0)
+
+    def test_zero_jacobi_constant_drift_is_relative_to_the_cancelled_terms(self):
+        # 2 Omega(0.3, 0.4) = vy0^2 to the last bit, so C0 is exactly 0
+        s0 = (0.3, 0.4, 0.0, 2.02417416477795)
+        traj = integrate(CLASSICAL, s0, 1.0)
+        assert traj.c0 == 0.0 and traj.status == "completed"
+        scale = 2.0 * abs(omega(CLASSICAL, 0.3, 0.4)) + s0[3] * s0[3]
+        drifts = [abs(jacobi_constant(CLASSICAL, s)) / scale for s in traj.samples]
+        assert traj.max_drift == max(drifts) and 0.0 < traj.max_drift <= 1e-9
 
     def test_runaway_state_raises_with_last_good_state(self):
         # so far out gravity is nil: the state moves on a straight inertial
