@@ -2,8 +2,11 @@
 zero-velocity curves, critical masses, trajectory runs, reference-table
 reproduction, and parameter sweeps.
 
-Flag values override config-file values override built-in defaults (the
-reference configuration mu = 0.025, q1 = 1, A2 = 0, M_b = 0, T = 0.01,
+RunConfig's fields are the one option schema: each names its parser, the
+subcommands that offer it as a flag and, for t, C and k, its key.  A flag
+a subcommand does not read is a usage error; a config file may hold every
+key.  Flag values override config-file values override built-in defaults
+(the reference configuration mu = 0.025, q1 = 1, A2 = 0, M_b = 0, T = 0.01,
 r_c = 0.8).  Output is deterministic: fixed row ordering, 12 significant
 digits, CSV with a "# schema=1" header, JSON with a fixed key order.
 
@@ -22,7 +25,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 
 from . import reference_data as rd
 from .dynamics import integrate, zvc_contours
@@ -36,19 +39,6 @@ EXIT_DOMAIN = 2
 EXIT_NUMERICAL = 3
 EXIT_USAGE = 64
 EXIT_IO = 74
-
-COMMANDS = ("equilibria", "stability", "zvc", "mu-crit", "integrate", "tables", "sweep")
-
-# Commands whose natural payload is tabular default to CSV, the rest to JSON.
-_DEFAULT_FORMAT = {
-    "equilibria": "json",
-    "stability": "json",
-    "mu-crit": "json",
-    "integrate": "json",
-    "zvc": "csv",
-    "tables": "csv",
-    "sweep": "csv",
-}
 
 MAX_SWEEP_CELLS = 10**7
 
@@ -102,40 +92,54 @@ def _parse_axis(text: str) -> tuple[float, ...]:
     return tuple(sorted(set(vals)))
 
 
+# The subcommands that read each parameter; critical masses solve for mu.
+_READS_MU = ("equilibria", "stability", "zvc", "integrate", "sweep")
+_READS_PARAMS = (*_READS_MU, "mu-crit")
+
+
+def _option(default, parse=float, commands=None, key=None):
+    """A RunConfig option: parse reads its text (and is argparse's type),
+    commands names the subcommands that offer it (None: all of them), and
+    key is its config key and flag where that is not the field's name."""
+    return field(default=default, metadata={"parse": parse, "commands": commands, "key": key})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """One resolved invocation; serializes to the config-file format."""
+    """One resolved invocation; serializes to the config-file format.  Its
+    option fields are the one schema of flags and config keys: the flag is
+    --key, or the field name with "_" as "-"."""
 
     command: str
-    mu: float = 0.025
-    q1: float = 1.0
-    a2: float = 0.0
-    mb: float = 0.0
-    t_belt: float = 0.01
-    rc: float = 0.8
-    tol: float = 1e-10
-    out: str | None = None
-    format: str | None = None
-    k_orders: tuple[int, ...] = (1, 2, 3, 4, 5)
-    c_level: float = 3.5
-    grid: int = 256
-    xmin: float = -2.0
-    xmax: float = 2.0
-    ymin: float = -2.0
-    ymax: float = 2.0
-    x0: float = 0.5
-    y0: float = 0.5
-    vx0: float = 0.0
-    vy0: float = 0.0
-    tend: float = 10.0
-    table: str = "table1"
-    sweep_mu: tuple[float, ...] | None = None
-    sweep_q1: tuple[float, ...] | None = None
-    sweep_a2: tuple[float, ...] | None = None
-    sweep_mb: tuple[float, ...] | None = None
+    mu: float = _option(0.025, commands=_READS_MU)
+    q1: float = _option(1.0, commands=_READS_PARAMS)
+    a2: float = _option(0.0, commands=_READS_PARAMS)
+    mb: float = _option(0.0, commands=_READS_PARAMS)
+    t_belt: float = _option(0.01, commands=_READS_PARAMS, key="t")
+    rc: float = _option(0.8, commands=_READS_PARAMS)
+    tol: float = _option(1e-10, commands=("integrate",))
+    out: str | None = _option(None, str)
+    format: str | None = _option(None, str)
+    k_orders: tuple[int, ...] = _option((1, 2, 3, 4, 5), _parse_orders, ("mu-crit",), "k")
+    c_level: float = _option(3.5, commands=("zvc",), key="C")
+    grid: int = _option(256, int, ("zvc",))
+    xmin: float = _option(-2.0, commands=("zvc",))
+    xmax: float = _option(2.0, commands=("zvc",))
+    ymin: float = _option(-2.0, commands=("zvc",))
+    ymax: float = _option(2.0, commands=("zvc",))
+    x0: float = _option(0.5, commands=("integrate",))
+    y0: float = _option(0.5, commands=("integrate",))
+    vx0: float = _option(0.0, commands=("integrate",))
+    vy0: float = _option(0.0, commands=("integrate",))
+    tend: float = _option(10.0, commands=("integrate",))
+    table: str = _option("table1", str, ("tables",))
+    sweep_mu: tuple[float, ...] | None = _option(None, _parse_axis, ("sweep",))
+    sweep_q1: tuple[float, ...] | None = _option(None, _parse_axis, ("sweep",))
+    sweep_a2: tuple[float, ...] | None = _option(None, _parse_axis, ("sweep",))
+    sweep_mb: tuple[float, ...] | None = _option(None, _parse_axis, ("sweep",))
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in _COMMANDS:
             raise UsageError(f"unknown command {self.command!r}")
         if self.format not in (None, "csv", "json"):
             raise UsageError(f"unknown format {self.format!r}")
@@ -154,7 +158,7 @@ class RunConfig:
 
     @property
     def effective_format(self) -> str:
-        return self.format or _DEFAULT_FORMAT[self.command]
+        return self.format or _COMMANDS[self.command][1]
 
     def to_file_text(self) -> str:
         """key = value lines; parse_config(from_file_text) restores the
@@ -183,25 +187,10 @@ class RunConfig:
         return build_config(command, values)
 
 
-# config-file/flag keys vs dataclass field names
-_KEY_TO_FIELD = {
-    "t": "t_belt",
-    "C": "c_level",
-    "k": "k_orders",
-}
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
-
-_COERCERS = {
-    "mu": float, "q1": float, "a2": float, "mb": float, "t_belt": float,
-    "rc": float, "tol": float, "out": str, "format": str,
-    "k_orders": _parse_orders, "c_level": float, "grid": int,
-    "xmin": float, "xmax": float, "ymin": float, "ymax": float,
-    "x0": float, "y0": float, "vx0": float, "vy0": float, "tend": float,
-    "table": str,
-    "sweep_mu": _parse_axis, "sweep_q1": _parse_axis,
-    "sweep_a2": _parse_axis, "sweep_mb": _parse_axis,
-    "command": str,
-}
+_OPTIONS = tuple(f for f in fields(RunConfig) if f.metadata)
+_COERCERS = {f.name: f.metadata.get("parse", str) for f in fields(RunConfig)}
+_FIELD_TO_KEY = {f.name: f.metadata["key"] for f in _OPTIONS if f.metadata["key"]}
+_KEY_TO_FIELD = {key: name for name, key in _FIELD_TO_KEY.items()}
 
 
 def parse_config(text: str) -> dict:
@@ -215,26 +204,23 @@ def parse_config(text: str) -> dict:
             raise UsageError(f"config line {lineno}: expected key = value, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        field = _KEY_TO_FIELD.get(key, key)
-        if field not in _COERCERS:
+        name = _KEY_TO_FIELD.get(key, key)
+        if name not in _COERCERS:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
-        values[field] = val.strip()
+        values[name] = val.strip()
     return values
 
 
 def build_config(command: str, sources: dict) -> RunConfig:
     """Coerce a {field: string-or-value} mapping into a RunConfig."""
     kwargs = {}
-    for field, raw in sources.items():
-        if field == "command":
+    for name, raw in sources.items():
+        if name == "command" or raw is None:
             continue
-        if raw is None:
-            continue
-        coerce = _COERCERS[field]
         try:
-            kwargs[field] = coerce(raw) if isinstance(raw, str) else raw
+            kwargs[name] = _COERCERS[name](raw) if isinstance(raw, str) else raw
         except (ValueError, TypeError):
-            raise UsageError(f"bad value for {field}: {raw!r}") from None
+            raise UsageError(f"bad value for {name}: {raw!r}") from None
     try:
         return RunConfig(command=command, **kwargs)
     except TypeError:
@@ -254,57 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     call: parse_args leaves it as it was, so callers must not change it."""
     top = _Parser(prog="chermnykh", description=__doc__, add_help=True)
     sub = top.add_subparsers(dest="command", parser_class=_Parser)
-
-    def common(p):
-        p.add_argument("--mu", type=float)
-        p.add_argument("--q1", type=float)
-        p.add_argument("--a2", type=float)
-        p.add_argument("--mb", type=float)
-        p.add_argument("--t", dest="t_belt", type=float)
-        p.add_argument("--rc", type=float)
-        p.add_argument("--out")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--tol", type=float)
+    for command, (_, _, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for f in _OPTIONS:
+            if f.metadata["commands"] is None or command in f.metadata["commands"]:
+                flag = f.metadata["key"] or f.name.replace("_", "-")
+                p.add_argument("--" + flag, dest=f.name, type=f.metadata["parse"])
         p.add_argument("--config", dest="config_path")
-
-    p = sub.add_parser("equilibria", help="locate and list equilibrium points")
-    common(p)
-
-    p = sub.add_parser("stability", help="characteristic coefficients and classification per point")
-    common(p)
-
-    p = sub.add_parser("zvc", help="zero-velocity curves at a Jacobi constant")
-    common(p)
-    p.add_argument("--C", dest="c_level", type=float)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--xmin", type=float)
-    p.add_argument("--xmax", type=float)
-    p.add_argument("--ymin", type=float)
-    p.add_argument("--ymax", type=float)
-
-    p = sub.add_parser("mu-crit", help="resonance critical mass ratios")
-    common(p)
-    p.add_argument("--k", dest="k_orders")
-
-    p = sub.add_parser("integrate", help="rotating-frame trajectory")
-    common(p)
-    p.add_argument("--x0", type=float)
-    p.add_argument("--y0", type=float)
-    p.add_argument("--vx0", type=float)
-    p.add_argument("--vy0", type=float)
-    p.add_argument("--tend", type=float)
-
-    p = sub.add_parser("tables", help="reproduce a published reference table")
-    common(p)
-    p.add_argument("--table", choices=("table1", "table2"))
-
-    p = sub.add_parser("sweep", help="parameter sweep with per-point stability summary")
-    common(p)
-    p.add_argument("--sweep-mu", dest="sweep_mu")
-    p.add_argument("--sweep-q1", dest="sweep_q1")
-    p.add_argument("--sweep-a2", dest="sweep_a2")
-    p.add_argument("--sweep-mb", dest="sweep_mb")
-
     return top
 
 
@@ -312,11 +254,10 @@ def config_from_argv(argv) -> RunConfig:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
-        raise UsageError("a command is required (one of: " + ", ".join(COMMANDS) + ")")
+        raise UsageError("a command is required (one of: " + ", ".join(_COMMANDS) + ")")
     file_values = {}
-    config_path = getattr(args, "config_path", None)
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
+    if args.config_path:
+        with open(args.config_path, encoding="utf-8") as fh:
             file_values = parse_config(fh.read())
         file_values.pop("command", None)
     flag_values = {
@@ -692,14 +633,16 @@ def _cmd_sweep(cfg: RunConfig):
     return _SWEEP_COLUMNS, rows, {"n_points": total}, f"swept {total} parameter points"
 
 
-_DISPATCH = {
-    "equilibria": _cmd_equilibria,
-    "stability": _cmd_stability,
-    "mu-crit": _cmd_mu_crit,
-    "zvc": _cmd_zvc,
-    "integrate": _cmd_integrate,
-    "tables": _cmd_tables,
-    "sweep": _cmd_sweep,
+# name: (handler, default format, help).  Commands whose natural payload
+# is tabular default to CSV, the rest to JSON.
+_COMMANDS = {
+    "equilibria": (_cmd_equilibria, "json", "locate and list equilibrium points"),
+    "stability": (_cmd_stability, "json", "characteristic coefficients and classification per point"),
+    "zvc": (_cmd_zvc, "csv", "zero-velocity curves at a Jacobi constant"),
+    "mu-crit": (_cmd_mu_crit, "json", "resonance critical mass ratios"),
+    "integrate": (_cmd_integrate, "json", "rotating-frame trajectory"),
+    "tables": (_cmd_tables, "csv", "reproduce a published reference table"),
+    "sweep": (_cmd_sweep, "csv", "parameter sweep with per-point stability summary"),
 }
 
 
@@ -707,7 +650,7 @@ def run(cfg: RunConfig) -> int:
     """Execute one resolved invocation and emit its artifact."""
     with warnings.catch_warnings():
         warnings.simplefilter("default")
-        columns, rows, meta, summary = _DISPATCH[cfg.command](cfg)
+        columns, rows, meta, summary = _COMMANDS[cfg.command][0](cfg)
     if cfg.effective_format == "csv":
         payload = emit_csv(columns, rows)
     else:

@@ -194,7 +194,10 @@ def integrate(
         if sample_times and (sample_times[0] < 0.0 or sample_times[-1] > t_end):
             raise DomainError("sample_times must lie within [0, t_end]")
 
-    c0 = jacobi_constant(p, RotState(*start))  # also validates regularity
+    try:
+        c0 = jacobi_constant(p, RotState(*start))  # also validates regularity
+    except OverflowError:
+        raise DomainError(f"initial state {start} overflows the Jacobi constant") from None
     # where C0 = 0, drift is relative to the terms that cancelled, or absolute
     x, y, u, v = start
     c_scale = abs(c0) or 2.0 * abs(kernel(p, x, y, 0)) + u * u + v * v or 1.0
@@ -464,6 +467,8 @@ def zvc_contours(
     """Zero-velocity curves 2 Omega = C over a rectangular grid."""
     xmin, xmax, ymin, ymax = map(float, bounds)
     nx, ny = int(resolution[0]), int(resolution[1])
+    if not all(map(math.isfinite, (c, xmin, xmax, ymin, ymax))):
+        raise DomainError(f"level C = {c!r} and bounds {bounds} must be finite")
     if not (xmin < xmax and ymin < ymax):
         raise DomainError("bounds must satisfy xmin < xmax and ymin < ymax")
     if nx < 64 or ny < 64:

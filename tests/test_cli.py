@@ -1,8 +1,10 @@
 """Command-line layer: parsing, precedence, output formats, exit codes,
 table reproduction, and sweep determinism."""
 
+import dataclasses
 import json
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -63,7 +65,97 @@ class TestValueParsing:
                 _parse_axis(bad)
 
 
+# Every option flag with a text and the value it parses to, each value
+# other than its field's default.
+_FLAG_VALUES = {
+    "--mu": ("mu", "0.03", 0.03),
+    "--q1": ("q1", "0.5", 0.5),
+    "--a2": ("a2", "0.01", 0.01),
+    "--mb": ("mb", "0.2", 0.2),
+    "--t": ("t_belt", "0.02", 0.02),
+    "--rc": ("rc", "0.9", 0.9),
+    "--tol": ("tol", "1e-12", 1e-12),
+    "--out": ("out", "x.csv", "x.csv"),
+    "--format": ("format", "json", "json"),
+    "--k": ("k_orders", "2", (2,)),
+    "--C": ("c_level", "3.1", 3.1),
+    "--grid": ("grid", "64", 64),
+    "--xmin": ("xmin", "-1.5", -1.5),
+    "--xmax": ("xmax", "1.5", 1.5),
+    "--ymin": ("ymin", "-1.5", -1.5),
+    "--ymax": ("ymax", "1.5", 1.5),
+    "--x0": ("x0", "0.4", 0.4),
+    "--y0": ("y0", "0.6", 0.6),
+    "--vx0": ("vx0", "0.1", 0.1),
+    "--vy0": ("vy0", "0.2", 0.2),
+    "--tend": ("tend", "5", 5.0),
+    "--table": ("table", "table2", "table2"),
+    "--sweep-mu": ("sweep_mu", "0.1,0.2", (0.1, 0.2)),
+    "--sweep-q1": ("sweep_q1", "0.5,1", (0.5, 1.0)),
+    "--sweep-a2": ("sweep_a2", "0:0.02:0.01", (0.0, 0.01, 0.02)),
+    "--sweep-mb": ("sweep_mb", "0.2,0.4", (0.2, 0.4)),
+}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+# The flags each subcommand offers besides --config: the ones whose values
+# it reads.  Critical masses solve for mu; tables fix their own grid.  With
+# --config these are 74 flag/subcommand pairs.
+_PARAMS = ("--q1", "--a2", "--mb", "--t", "--rc", "--out", "--format")
+_FLAGS_OF = {
+    "equilibria": ("--mu", *_PARAMS),
+    "stability": ("--mu", *_PARAMS),
+    "zvc": ("--mu", *_PARAMS, "--C", "--grid", "--xmin", "--xmax", "--ymin", "--ymax"),
+    "mu-crit": (*_PARAMS, "--k"),
+    "integrate": ("--mu", *_PARAMS, "--tol", "--x0", "--y0", "--vx0", "--vy0", "--tend"),
+    "tables": ("--table", "--out", "--format"),
+    "sweep": ("--mu", *_PARAMS, "--sweep-mu", "--sweep-q1", "--sweep-a2", "--sweep-mb"),
+}
+# The flag/subcommand pairs the parser accepted and then ignored.
+_UNREAD_PAIRS = (
+    *(("tables", flag) for flag in ("--mu", "--q1", "--a2", "--mb", "--t", "--rc", "--tol")),
+    ("mu-crit", "--mu"), ("mu-crit", "--tol"),
+    *((command, "--tol") for command in ("equilibria", "stability", "zvc", "sweep")),
+)
+
+
 class TestConfigHandling:
+    @pytest.mark.parametrize("command", list(_FLAGS_OF))
+    def test_each_subcommand_offers_exactly_the_flags_it_reads(self, command):
+        assert {field for field, _, _ in _FLAG_VALUES.values()} == set(_DEFAULTS) - {"command"}
+        base = [command] + (["--sweep-mb", "0"] if command == "sweep" else [])
+        offered = []
+        for flag, (field, text, value) in _FLAG_VALUES.items():
+            try:
+                cfg = config_from_argv([*base, flag, text])
+            except UsageError:
+                continue
+            assert getattr(cfg, field) == value != _DEFAULTS[field]
+            offered.append(flag)
+        assert offered == [f for f in _FLAG_VALUES if f in _FLAGS_OF[command]]
+        assert config_from_argv([*base, "--config", os.devnull]).command == command
+
+    @pytest.mark.parametrize("command, flag", _UNREAD_PAIRS)
+    def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(self, command, flag):
+        argv = [command, flag, _FLAG_VALUES[flag][1]]
+        assert main(argv + (["--sweep-mb", "0"] if command == "sweep" else [])) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["tables", "equilibria"])
+    def test_config_keys_load_for_every_subcommand(self, tmp_path, command):
+        # to_file_text writes every field, so a file may hold keys the
+        # subcommand does not read
+        conf = tmp_path / "run.conf"
+        conf.write_text("mu = 0.03\ntol = 1e-9\n", encoding="utf-8")
+        cfg = config_from_argv([command, "--config", str(conf)])
+        assert (cfg.mu, cfg.tol) == (0.03, 1e-9)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["equilibria", "--format", "xml"], "unknown format 'xml'"),
+         (["tables", "--table", "table9"], "unknown table 'table9'")],
+    )
+    def test_format_and_table_values_checked_by_the_config(self, capsys, argv, message):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
     def test_defaults_are_the_reference_configuration(self):
         cfg = config_from_argv(["equilibria"])
         assert (cfg.mu, cfg.q1, cfg.a2, cfg.mb) == (0.025, 1.0, 0.0, 0.0)
@@ -318,6 +410,14 @@ class TestZvcCommand:
         assert doc["level"] == 3.5
         assert doc["n_polylines"] == len({row[0] for row in doc["rows"]}) == 3
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--C", "inf", "--format", "json"], ["--C", "nan"], ["--xmax=inf"], ["--xmin=-inf"]],
+    )
+    def test_non_finite_level_or_bound_is_a_domain_error(self, capsys, flags):
+        assert main(["zvc", *flags]) == EXIT_DOMAIN
+        assert "must be finite" in capsys.readouterr().err
+
     def test_empty_level_diagnostic(self, tmp_path):
         code, text = run_to_file(
             tmp_path, ["zvc", "--C", "2.5", "--format", "json"], "z.json"
@@ -397,7 +497,7 @@ class TestJsonEmission:
     )
     def test_same_text_for_every_command(self, argv):
         cfg = config_from_argv(argv)
-        columns, rows, meta, _ = cli._DISPATCH[cfg.command](cfg)
+        columns, rows, meta, _ = cli._COMMANDS[cfg.command][0](cfg)
         assert emit_json(columns, rows, meta) == _json_reference(columns, rows, meta)
 
     def test_empty_rows_and_empty_row(self):
@@ -418,6 +518,10 @@ class TestIntegrateCommand:
         assert doc["c0"] == 0.0 and doc["status"] == "completed"
         assert math.isfinite(doc["max_drift"]) and doc["max_drift"] <= 1e-9
 
+
+    def test_overflowing_start_is_a_domain_error(self, capsys):
+        assert main(["integrate", "--vx0", "1e200", "--tend", "1"]) == EXIT_DOMAIN
+        assert "initial state (0.5, 0.5, 1e+200, 0.0)" in capsys.readouterr().err
 
     def test_drift_reported(self, tmp_path):
         code, text = run_to_file(

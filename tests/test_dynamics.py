@@ -268,6 +268,12 @@ class TestFailureModes:
         with pytest.raises(Exception):
             integrate(p, (1 - p.mu, 0.0, 0.0, 0.0), 1.0)
 
+    @pytest.mark.parametrize("s0", [(0.5, 0.5, 1e200, 0.0), (0.5, 0.5, 0.0, -1e200)])
+    def test_start_overflowing_the_jacobi_constant_rejected(self, s0):
+        # a float's ** raises OverflowError where numpy would give inf
+        with pytest.raises(DomainError, match=r"initial state \(0\.5, 0\.5, .*e\+200.*\) overflows"):
+            integrate(CLASSICAL, s0, 1.0)
+
     def test_zero_jacobi_constant_drift_is_relative_to_the_cancelled_terms(self):
         # 2 Omega(0.3, 0.4) = vy0^2 to the last bit, so C0 is exactly 0
         s0 = (0.3, 0.4, 0.0, 2.02417416477795)
@@ -347,6 +353,16 @@ class TestZeroVelocityCurves:
     def test_bounds_validated(self):
         with pytest.raises(DomainError):
             zvc_contours(CLASSICAL, 3.5, bounds=(2.0, -2.0, -2.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "c, bounds",
+        [(math.inf, (-2.0, 2.0, -2.0, 2.0)), (math.nan, (-2.0, 2.0, -2.0, 2.0)),
+         (3.5, (-2.0, math.inf, -2.0, 2.0)), (3.5, (-math.inf, 2.0, -2.0, 2.0)),
+         (3.5, (-2.0, 2.0, -2.0, math.nan))],
+    )
+    def test_non_finite_level_or_bounds_rejected(self, c, bounds):
+        with pytest.raises(DomainError, match="must be finite"):
+            zvc_contours(CLASSICAL, c, bounds=bounds)
 
     def test_classical_topology_at_c_3_5(self):
         # inner region split: one oval around each primary plus the outer

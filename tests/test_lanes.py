@@ -185,18 +185,29 @@ def test_sweep_rows_like_one_point_at_a_time(tasks):
     assert _bits(cli._sweep_rows(tasks)) == _bits([point_sweep_point(t) for t in tasks])
 
 
-def _bench_sweep_invocations(seed):
+def _bench_invocations(seed, *workloads):
+    """The argvs of a benchmark round, of the named workloads or of all."""
     out = subprocess.run(
-        [sys.executable, os.path.join(BENCH, "workloads.py"), "--seed", str(seed), "--workload", "sweep"],
+        [sys.executable, os.path.join(BENCH, "workloads.py"), "--seed", str(seed),
+         *(arg for w in workloads for arg in ("--workload", w))],
         capture_output=True, text=True, check=True,
     ).stdout
     return [line.split()[1:] for line in out.splitlines()]
 
 
+def test_every_benchmark_invocation_parses():
+    # a flag scoped away from its subcommand would fail every benchmark run
+    for seed in (2, 4):
+        argvs = _bench_invocations(seed)
+        assert {argv[0] for argv in argvs} == {"sweep", "tables", "integrate", "zvc"}
+        for argv in argvs:
+            assert cli.config_from_argv(argv).command == argv[0]
+
+
 def test_sweep_csv_bytes_of_the_benchmark_invocations(tmp_path):
     path = tmp_path / "sweep.csv"
     for seed in (2, 4):
-        for argv in _bench_sweep_invocations(seed):
+        for argv in _bench_invocations(seed, "sweep"):
             assert cli.main([*argv, "--out", str(path)]) == cli.EXIT_OK
             rows = [point_sweep_point(t) for t in point_sweep_tasks(cli.config_from_argv(argv))]
             assert path.read_text(encoding="utf-8") == cli.emit_csv(cli._SWEEP_COLUMNS, rows)
