@@ -238,10 +238,11 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every
     call: parse_args leaves it as it was, so callers must not change it."""
-    top = _Parser(prog="chermnykh", description=__doc__, add_help=True)
+    # allow_abbrev=False: each flag has one spelling, not any unambiguous prefix
+    top = _Parser(prog="chermnykh", description=__doc__, add_help=True, allow_abbrev=False)
     sub = top.add_subparsers(dest="command", parser_class=_Parser)
     for command, (_, _, help_text) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for f in _OPTIONS:
             if f.metadata["commands"] is None or command in f.metadata["commands"]:
                 flag = f.metadata["key"] or f.name.replace("_", "-")

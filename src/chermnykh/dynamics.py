@@ -198,6 +198,8 @@ def integrate(
         c0 = jacobi_constant(p, RotState(*start))  # also validates regularity
     except OverflowError:
         raise DomainError(f"initial state {start} overflows the Jacobi constant") from None
+    if not math.isfinite(c0):  # a sum that rounds to +-inf raises no OverflowError
+        raise DomainError(f"initial state {start} gives a non-finite Jacobi constant {c0}")
     # where C0 = 0, drift is relative to the terms that cancelled, or absolute
     x, y, u, v = start
     c_scale = abs(c0) or 2.0 * abs(kernel(p, x, y, 0)) + u * u + v * v or 1.0

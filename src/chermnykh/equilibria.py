@@ -18,17 +18,23 @@ scan_collinear scans one parameter set, or a list of them at once, a lane
 each, on flat piece arrays that carry a lane index.  It starts from the
 free intervals cut at the origin and at the belt knee -T/sqrt(2), and
 splits each piece that neither bound certifies into SPLIT equal parts, a
-whole level of pieces per numpy call, until every piece is monotone or is
-a fold piece: one where f' may change sign, narrower than FOLD_WIDTH of T
-and of its distance to the nearer primary.  Across a fold
-piece f stays within (1/2) max|f''| width^2 of its value at any point,
-about 1e-18 of the largest force term there and so below the rounding of
-f; its midpoint stands for the extremum, and the signs of f at its ends
-and midpoint decide whether it holds no root, one or a pair.  The count is
-therefore exact to rounding.  Brent's method polishes each sign change on
-floats for one lane (brent), or all of a batch's in lockstep (brent_lanes):
-the kernel's floats, and so the roots, are the same bit for bit.
-find_collinear and find_all take a list of lanes in the same way.
+whole level of pieces per numpy call, until every piece is monotone,
+root-free or a fold piece.  A piece it would split is root-free when f at
+its ends has one sign and |f(a)| + |f(b)|, less f's rounding, exceeds
+S (b - a), S = max(|floor|, |ceiling|): |f(x) - f(a)| <= S (x - a), the
+mean-value form of Moore's interval extension (Moore 1966), so f has no
+root there, and a piece with a root is never root-free.  A fold piece is
+one where f' may change sign, narrower than FOLD_WIDTH of T and of its
+distance to the nearer primary.  Across it f stays within (1/2) max|f''|
+width^2 of its value at any point, about 1e-18 of the largest force term
+there and so below the rounding of f; its midpoint stands for the
+extremum, and the signs of f at its ends and midpoint decide whether it
+holds no root, one or a pair.  The count is therefore exact to rounding.
+Brent's method polishes each sign change on floats for one lane (brent),
+or all of a batch's in lockstep (brent_lanes): the kernel's floats, and so
+the roots, are the same bit for bit.  find_collinear and find_all take a
+list of lanes in the same way; find_all solves the triangular points'
+_Crossings once per (q1, A2) of the list.
 
 Labels follow the crossing direction (_axis_labels).  For q1 > 0, f runs
 from -inf to +inf across each free interval, so the outer ones hold L3
@@ -115,9 +121,9 @@ class EquilibriumPoint:
 @dataclass(frozen=True)
 class CollinearScan:
     """Record of one axis scan: the pieces it ends with, in axis order; the
-    f evaluations per piece, 2 (its ends) for a monotone piece and 3 (ends
-    and midpoint) for a fold piece; and the sign-change brackets found
-    (disjoint, one root each)."""
+    f evaluations per piece, 2 (its ends) for a monotone or root-free piece
+    and 3 (ends and midpoint) for a fold piece; and the sign-change
+    brackets found (disjoint, one root each)."""
 
     intervals: tuple[tuple[float, float], ...]
     samples: tuple[int, ...]
@@ -192,6 +198,20 @@ def fprime_bounds(p, a, b):
     return total[0] - 1e-12 * size[0], total[1] + 1e-12 * size[1]
 
 
+def _root_free(q, a, b, slope):
+    """Whether f keeps one sign on each piece [a, b], given slope >= max |f'|
+    there: |f(x) - f(a)| <= slope (x - a) (the mean-value form, Moore 1966),
+    so f has no root if |f(a)| + |f(b)| exceeds slope (b - a) by more than
+    f's rounding, 1e-12 of its terms' magnitudes at both ends."""
+    x = np.array((a, b))
+    fa, fb = kernel(q, x, 0.0, 1)[0]
+    s, u, w = np.abs(x + q.mu), np.abs(x + q.mu - 1.0), x * x + q.t2
+    size = (q.n2 * np.abs(x) + (1.0 - q.mu) * np.abs(q.q1) / (s * s) + q.mu / (u * u)
+            + 1.5 * q.mu * q.a2 / (u * u * u * u) + q.mb * np.abs(x) / (w * np.sqrt(w)))
+    return ((fa > 0.0) == (fb > 0.0)) & (fa != 0.0) & (fb != 0.0) & (
+        np.abs(fa) + np.abs(fb) - 1e-12 * (size[0] + size[1]) > (1.0 + 1e-12) * slope * (b - a))
+
+
 # The record of a scan of lanes, flat and sorted by lane, then along the axis: pieces [a, b] with
 # lanes and samples (as in CollinearScan); brackets [lo, hi] with lanes; the LaneParams; each
 # refused lane's DomainError.
@@ -228,6 +248,10 @@ def _scan_lanes(ps) -> LaneScan:
         # distance to the nearer primary and of T (or a few dozen ulp)
         scale = np.minimum(np.minimum(np.abs(a + q.mu), np.abs(a + q.mu - 1.0)), q.t_belt)
         split = fold & (b - a > np.maximum(FOLD_WIDTH * scale, 1e-14 * np.abs(a)))
+        i = np.flatnonzero(split)
+        if i.size:  # of these, the root-free pieces stop: ends only, as fold = False
+            free = _root_free(params.at(lane[i]), a[i], b[i], np.maximum(np.abs(floor[i]), np.abs(ceiling[i])))
+            split[i[free]] = fold[i[free]] = False
         keep = ~split
         done.append((lane[keep], a[keep], b[keep], fold[keep]))
         if not split.any():
@@ -450,12 +474,17 @@ def find_collinear(p) -> list:
     each lane gets its points or the error that stopped them (_per_lane).
     """
     if not isinstance(p, SystemParams):
-        return _per_lane(_label_points, p, _lane_roots(scan_collinear(p), len(p)))
-    return _label_points(p, _axis_roots(p))
-
-
-def _label_points(p: SystemParams, roots) -> list[EquilibriumPoint]:
-    return [_point(p, kind, x, 0.0) for kind, x in _axis_labels(p, roots)]
+        s = scan_collinear(p)
+        labels = _per_lane(_axis_labels, p, _lane_roots(s, len(p)))
+        # the residuals of all labelled roots from one kernel call; scan roots
+        # keep PRIMARY_GAP from the primaries, so check_regular would pass them
+        lane = [k for k, kx in enumerate(labels) if type(kx) is list for _ in kx]
+        xs = [x for kx in labels if type(kx) is list for _, x in kx]
+        gx, gy = kernel(s.params.at(np.array(lane, dtype=int)), np.array(xs), 0.0, 1)
+        grads = iter(zip(gx.tolist(), gy.tolist()))
+        return [kx if type(kx) is not list else [_point(q, kind, x, 0.0, next(grads)) for kind, x in kx]
+                for q, kx in zip(p, labels)]
+    return [_point(p, kind, x, 0.0) for kind, x in _axis_labels(p, _axis_roots(p))]
 
 
 def _side(p: SystemParams, x: float) -> int:
@@ -637,9 +666,15 @@ def find_triangular(p: SystemParams) -> tuple[EquilibriumPoint, EquilibriumPoint
     """L4 at the one root of F (module docstring) and L5, its exact mirror
     (the potential is even in y).  Where F keeps its sign on the crossing
     interval, NoTriangularPointsError names the end that certifies it."""
+    return _find_triangular(p, {})
+
+
+def _find_triangular(p: SystemParams, ends: dict):
+    """find_triangular, taking the _Crossings of (q1, A2) from ends, where
+    it puts those it solves."""
     if p.q1 <= 0.0:
         raise DomainError("triangular points degenerate for q1 <= 0 (r1 -> 0)")
-    c = _Crossings(p.q1, p.a2)
+    c = ends[p.q1, p.a2] = ends.get((p.q1, p.a2)) or _Crossings(p.q1, p.a2)
 
     def F(r2: float) -> float:
         return _F(p, _r1_of(p.q1, p.a2, r2), r2)
@@ -726,14 +761,15 @@ def _triangular_lanes(q: LaneParams, ps, crossings) -> list:
 def find_all(p) -> list:
     """Axis points plus the triangular pair (when the latter exist); for a
     list of parameter sets, per lane as find_collinear gives them."""
+    ends = {}  # the _Crossings of each (q1, A2), solved once per call
+
+    def add_triangular(p: SystemParams, points: list) -> list:
+        try:
+            points.extend(_find_triangular(p, ends))
+        except NoTriangularPointsError:
+            pass
+        return points
+
     if not isinstance(p, SystemParams):
-        return _per_lane(_add_triangular, p, find_collinear(p))
-    return _add_triangular(p, find_collinear(p))
-
-
-def _add_triangular(p: SystemParams, points: list) -> list:
-    try:
-        points.extend(find_triangular(p))
-    except NoTriangularPointsError:
-        pass
-    return points
+        return _per_lane(add_triangular, p, find_collinear(p))
+    return add_triangular(p, find_collinear(p))

@@ -281,6 +281,12 @@ class TestExitCodes:
     def test_usage_unknown_flag(self):
         assert main(["equilibria", "--warp", "9"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [["tables", "--t", "0.01"], ["zvc", "--gr", "64"]])
+    def test_flag_prefix_is_an_unknown_flag(self, argv, capsys):
+        # not read as --table or --grid
+        assert main(argv) == EXIT_USAGE
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
     def test_usage_empty_axis(self):
         assert main(["sweep", "--sweep-mu", ""]) == EXIT_USAGE
 
@@ -522,6 +528,10 @@ class TestIntegrateCommand:
     def test_overflowing_start_is_a_domain_error(self, capsys):
         assert main(["integrate", "--vx0", "1e200", "--tend", "1"]) == EXIT_DOMAIN
         assert "initial state (0.5, 0.5, 1e+200, 0.0)" in capsys.readouterr().err
+
+    def test_start_with_a_non_finite_jacobi_constant_is_a_domain_error(self, capsys):
+        assert main(["integrate", "--vx0", "1e154", "--vy0", "1e154", "--tend", "1"]) == EXIT_DOMAIN
+        assert "gives a non-finite Jacobi constant -inf" in capsys.readouterr().err
 
     def test_drift_reported(self, tmp_path):
         code, text = run_to_file(
