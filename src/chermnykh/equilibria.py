@@ -33,8 +33,10 @@ holds no root, one or a pair.  The count is therefore exact to rounding.
 Brent's method polishes each sign change on floats for one lane (brent),
 or all of a batch's in lockstep (brent_lanes): the kernel's floats, and so
 the roots, are the same bit for bit.  find_collinear and find_all take a
-list of lanes in the same way; find_all solves the triangular points'
-_Crossings once per (q1, A2) of the list.
+list of lanes in the same way, one parameter set being a block of one
+lane; find_all solves the triangular points' _Crossings once per (q1, A2)
+of the list.  The scan keeps out only PRIMARY_GAP = 2 SINGULARITY_RADIUS
+about each primary, the radius check_regular refuses with a rounding margin.
 
 Labels follow the crossing direction (_axis_labels).  For q1 > 0, f runs
 from -inf to +inf across each free interval, so the outer ones hold L3
@@ -76,6 +78,7 @@ from .model import (
     SystemParams,
     check_regular,
     force_scale,
+    force_terms,
     kernel,
     omega_grad,
     omega_hessian,
@@ -83,7 +86,9 @@ from .model import (
 
 # Scan geometry defaults.
 X_MAX = 5.0
-PRIMARY_GAP = 1e-9  # keep-out half-width around each primary abscissa
+# keep-out half-width around each primary abscissa: the singularity guard's
+# radius, doubled so that the rounding of x + mu keeps every piece end outside it
+PRIMARY_GAP = 2.0 * SINGULARITY_RADIUS
 SPLIT = 16  # subpieces of each piece the Omega_xx bounds leave open
 FOLD_WIDTH = 1e-9  # fold pieces are narrower than this fraction of their scale
 LANE_BLOCK = 64  # most lanes per scan_collinear call, which bounds its memory
@@ -205,9 +210,7 @@ def _root_free(q, a, b, slope):
     f's rounding, 1e-12 of its terms' magnitudes at both ends."""
     x = np.array((a, b))
     fa, fb = kernel(q, x, 0.0, 1)[0]
-    s, u, w = np.abs(x + q.mu), np.abs(x + q.mu - 1.0), x * x + q.t2
-    size = (q.n2 * np.abs(x) + (1.0 - q.mu) * np.abs(q.q1) / (s * s) + q.mu / (u * u)
-            + 1.5 * q.mu * q.a2 / (u * u * u * u) + q.mb * np.abs(x) / (w * np.sqrt(w)))
+    size = sum(force_terms(q, x, 0.0))
     return ((fa > 0.0) == (fb > 0.0)) & (fa != 0.0) & (fb != 0.0) & (
         np.abs(fa) + np.abs(fb) - 1e-12 * (size[0] + size[1]) > (1.0 + 1e-12) * slope * (b - a))
 
@@ -392,31 +395,24 @@ def brent_lanes(f, a, b, fa, fb, atol: float = 1e-300) -> np.ndarray:
     return root
 
 
-def _axis_roots(p: SystemParams) -> list[float]:
-    """The distinct roots of f on the axis: the scan's brackets, each
-    polished by Brent's method on the float kernel."""
-
-    def f(x):
-        return omega_grad(p, x, 0.0)[0]
-
-    # the scan took its signs from the same kernel, so f(lo) and f(hi) differ in sign
-    return [
-        lo if lo == hi else brent(f, lo, hi, f(lo), f(hi))
-        for lo, hi in scan_collinear(p).brackets
-    ]
-
-
 def _lane_roots(s: LaneScan, n: int) -> list:
-    """Per lane of the scan s of n lanes, its axis roots as _axis_roots gives them, or
-    its DomainError: all its brackets polished by one brent_lanes."""
+    """Per lane of the scan s of n lanes, its axis roots, or its DomainError: f
+    differs in sign at each bracket's ends, as the scan took its signs from the
+    kernel; brent polishes a lone lane's on floats, brent_lanes a block's."""
+    if n == 1:
+        def f(x):
+            return kernel(s.params, x, 0.0, 1)[0]
 
-    def f(k, x):
-        return kernel(s.params.at(s.bracket_lane[k]), x, 0.0, 1)[0]
+        roots = [brent(f, lo, hi, f(lo), f(hi)) for lo, hi in zip(s.lo.tolist(), s.hi.tolist())]
+    else:
+        def f(k, x):
+            return kernel(s.params.at(s.bracket_lane[k]), x, 0.0, 1)[0]
 
-    k = np.arange(s.lo.size)
+        k = np.arange(s.lo.size)
+        roots = brent_lanes(f, s.lo, s.hi, f(k, s.lo), f(k, s.hi)).tolist()
     out = [s.failed.get(i, []) for i in range(n)]
-    for i, x in zip(s.bracket_lane.tolist(), brent_lanes(f, s.lo, s.hi, f(k, s.lo), f(k, s.hi))):
-        out[i].append(float(x))
+    for i, x in zip(s.bracket_lane.tolist(), roots):
+        out[i].append(x)
     return out
 
 
@@ -470,21 +466,25 @@ def find_collinear(p) -> list:
     Returns 3 points (L3, L1, L2) without a belt, and 5 (adding Xb2, Xb1)
     when the belt attraction splits the inner interval.  A root pattern
     with no labelling raises ScanError.  For a list of parameter sets, as
-    for scan_collinear, one scan and one brent_lanes serve them all, and
-    each lane gets its points or the error that stopped them (_per_lane).
+    for scan_collinear, one scan and one polish (_lane_roots) serve them
+    all, and each lane gets its points or the error that stopped them
+    (_per_lane); one parameter set is a block of one lane, whose error is
+    raised.
     """
-    if not isinstance(p, SystemParams):
-        s = scan_collinear(p)
-        labels = _per_lane(_axis_labels, p, _lane_roots(s, len(p)))
-        # the residuals of all labelled roots from one kernel call; scan roots
-        # keep PRIMARY_GAP from the primaries, so check_regular would pass them
-        lane = [k for k, kx in enumerate(labels) if type(kx) is list for _ in kx]
-        xs = [x for kx in labels if type(kx) is list for _, x in kx]
-        gx, gy = kernel(s.params.at(np.array(lane, dtype=int)), np.array(xs), 0.0, 1)
-        grads = iter(zip(gx.tolist(), gy.tolist()))
-        return [kx if type(kx) is not list else [_point(q, kind, x, 0.0, next(grads)) for kind, x in kx]
-                for q, kx in zip(p, labels)]
-    return [_point(p, kind, x, 0.0) for kind, x in _axis_labels(p, _axis_roots(p))]
+    ps = [p] if isinstance(p, SystemParams) else p
+    s = scan_collinear(ps)
+    labels = _per_lane(_axis_labels, ps, _lane_roots(s, len(ps)))
+    # the residuals of all labelled roots from one kernel call; scan roots
+    # keep PRIMARY_GAP from the primaries, so check_regular would pass them
+    lane = [k for k, kx in enumerate(labels) if type(kx) is list for _ in kx]
+    xs = [x for kx in labels if type(kx) is list for _, x in kx]
+    gx, gy = kernel(s.params.at(np.array(lane, dtype=int)), np.array(xs), 0.0, 1)
+    grads = iter(zip(gx.tolist(), gy.tolist()))
+    out = [kx if type(kx) is not list else [_point(q, kind, x, 0.0, next(grads)) for kind, x in kx]
+           for q, kx in zip(ps, labels)]
+    if ps is not p and isinstance(out[0], Exception):
+        raise out[0]
+    return out if ps is p else out[0]
 
 
 def _side(p: SystemParams, x: float) -> int:
@@ -539,19 +539,11 @@ def refine_equilibrium(p: SystemParams, guess) -> EquilibriumPoint:
     # is below its 1e-13 residual test; collinear points carry y = 0 exactly
     if it == 0:
         oyy = (hessian if grad else omega_hessian(p, x, y))[2]
-    if abs(y) <= 1e-12 or abs(y * oyy) <= 1e-13:
-        y, grad = 0.0, None
-    return _point(p, _positional_kind(p, x, y), x, y, grad)
-
-
-def _positional_kind(p: SystemParams, x: float, y: float) -> str:
-    """L4 or L5 off the axis; on it, the label _axis_labels gives the
-    nearest root of the axis scan, as in find_collinear."""
-    if y > 1e-12:
-        return "L4"
-    if y < -1e-12:
-        return "L5"
-    return min(_axis_labels(p, _axis_roots(p)), key=lambda kx: abs(kx[1] - x))[0]
+    if abs(y) <= 1e-12 or abs(y * oyy) <= 1e-13:  # labelled as the nearest axis point
+        kind, y, grad = min(find_collinear(p), key=lambda e: abs(e.x - x)).kind, 0.0, None
+    else:
+        kind = "L4" if y > 0.0 else "L5"
+    return _point(p, kind, x, y, grad)
 
 
 def triangular_analytic(
@@ -674,7 +666,7 @@ def _find_triangular(p: SystemParams, ends: dict):
     it puts those it solves."""
     if p.q1 <= 0.0:
         raise DomainError("triangular points degenerate for q1 <= 0 (r1 -> 0)")
-    c = ends[p.q1, p.a2] = ends.get((p.q1, p.a2)) or _Crossings(p.q1, p.a2)
+    c = ends.get((p.q1, p.a2)) or ends.setdefault((p.q1, p.a2), _Crossings(p.q1, p.a2))
 
     def F(r2: float) -> float:
         return _F(p, _r1_of(p.q1, p.a2, r2), r2)
@@ -694,10 +686,14 @@ def _find_triangular(p: SystemParams, ends: dict):
                       f"circles last cross (r2 = {hi:.17g}, r2 - r1 = 1)")
     r2 = brent(F, c.lo, hi, f_lo, F(hi))
     xpm, y2 = _circle_cross(_r1_of(p.q1, p.a2, r2), r2)
-    l4 = refine_equilibrium(p, (xpm - p.mu, math.sqrt(max(y2, 0.0))))
+    x, y = xpm - p.mu, math.sqrt(max(y2, 0.0))
+    l4 = refine_equilibrium(p, (x, y))
     if l4.kind != "L4":
-        raise _merged(xpm > 0.0, f"F(r2) has its root at r2 = {r2:.17g}, whose point lies "
-                      "within rounding of the axis")
+        raise NoTriangularPointsError(
+            f"F(r2) has its root at r2 = {r2:.17g}, at y = {y:.6g} with |Omega_yy y| = "
+            f"{abs(y * omega_hessian(p, x, y)[2]):.6g}: refine_equilibrium puts a point with |y| <= "
+            "1e-12 or |Omega_yy y| within its 1e-13 residual test on the axis, so it cannot tell L4 "
+            "and L5 from the axis point there; no triangular points for these parameters")
     l5 = EquilibriumPoint("L5", l4.x, -l4.y, l4.r1, l4.r2, l4.residual)
     return l4, l5
 
@@ -705,20 +701,23 @@ def _find_triangular(p: SystemParams, ends: dict):
 _L4Lane = namedtuple("_L4Lane", "x y r1 r2")
 
 
-def _triangular_lanes(q: LaneParams, ps, crossings) -> list:
+def _triangular_lanes(q: LaneParams, ps, ends: dict) -> list:
     """find_triangular's L4 per lane of arrays q, each at its own mu, as an
     _L4Lane or the error that stops it (ps[i]: the lane's SystemParams but
-    for mu, q1 > 0).  The lanes take find_triangular's IEEE operations, with
-    one brent_lanes for F; one that a check would stop or Newton would move
-    runs find_triangular itself."""
+    for mu, q1 > 0), with the _Crossings of ends as _find_triangular takes
+    them.  The lanes take find_triangular's IEEE operations, with one
+    brent_lanes for F; one that a check would stop or Newton would move runs
+    find_triangular itself."""
     m = q.mu.size
     out, mu, k = [None] * m, q.mu.tolist(), np.arange(m)
+    crossings = [ends.get((p.q1, p.a2)) or ends.setdefault((p.q1, p.a2), _Crossings(p.q1, p.a2))
+                 for p in ps]
 
     def leave(off):  # the lanes k[off] run find_triangular itself
         nonlocal k
         for i in k[off].tolist():
             try:
-                l4 = find_triangular(replace(ps[i], mu=mu[i]))[0]
+                l4 = _find_triangular(replace(ps[i], mu=mu[i]), ends)[0]
                 out[i] = _L4Lane(l4.x, l4.y, l4.r1, l4.r2)
             except (DomainError, NumericalError) as exc:
                 out[i] = exc

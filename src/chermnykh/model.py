@@ -276,27 +276,30 @@ def omega_hessian(p: SystemParams, x, y):
     return kernel(p, x, y, 2)[1]
 
 
-def force_scale(p: SystemParams, x: float, y: float) -> float:
-    """Magnitude of the largest single term of grad Omega at (x, y): the
-    centrifugal pull, either primary's attraction, the oblateness term or
-    the belt's pull.  At an equilibrium these cancel, so a gradient residual
-    is meaningful only relative to this scale.  It is infinite on a
-    primary."""
-    r1sq = (x + p.mu) ** 2 + y * y
-    r2sq = (x + p.mu - 1.0) ** 2 + y * y
-    if r1sq == 0.0 or r2sq == 0.0:
-        return math.inf
-    rsq = x * x + y * y
-    terms = [
-        p.n2 * math.sqrt(rsq),
-        (1.0 - p.mu) * abs(p.q1) / r1sq,
-        p.mu / r2sq,
-        1.5 * p.mu * p.a2 / (r2sq * r2sq),
-    ]
-    if p.mb:
+def force_terms(p, x, y) -> list:
+    """Magnitudes of the terms of grad Omega at (x, y): the centrifugal
+    pull, each primary's attraction, the oblateness term and, with a belt,
+    the belt's pull.  x and y are floats or arrays, p a SystemParams or a
+    LaneParams, as for kernel; on floats, a term on its centre divides by 0."""
+    s, u, yy = x + p.mu, x + p.mu - 1.0, y * y
+    r1sq, r2sq, rsq = s * s + yy, u * u + yy, x * x + yy
+    root = math.sqrt if type(rsq) is float else np.sqrt
+    terms = [p.n2 * root(rsq), (1.0 - p.mu) * abs(p.q1) / r1sq, p.mu / r2sq,
+             1.5 * p.mu * p.a2 / (r2sq * r2sq)]
+    if type(p.mb) is np.ndarray or p.mb:  # lanes, or a belt
         w = rsq + p.t2
-        terms.append(p.mb * math.sqrt(rsq) / (w * math.sqrt(w)) if w else 0.0)
-    return max(terms)
+        terms.append(p.mb * root(rsq) / (w * root(w)))
+    return terms
+
+
+def force_scale(p: SystemParams, x: float, y: float) -> float:
+    """Magnitude of the largest term of grad Omega at (x, y) (force_terms).  At
+    an equilibrium these cancel, so a gradient residual is meaningful only
+    relative to it.  It is infinite on a primary or a belt's centre at T = 0."""
+    try:
+        return max(force_terms(p, x, y))
+    except ZeroDivisionError:
+        return math.inf
 
 
 def jacobi_constant(p: SystemParams, s: RotState) -> float:

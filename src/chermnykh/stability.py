@@ -39,7 +39,6 @@ import numpy as np
 from .reference_data import LINEAR_SERIES
 from .equilibria import (
     EquilibriumPoint,
-    _Crossings,
     _triangular_lanes,
     brent,
     brent_lanes,
@@ -354,14 +353,12 @@ def _resonance_roots(bases, ks, make_residual) -> list:
     lanes = [i for i, o in enumerate(out) if o is None]
     if not lanes:
         return out
-    ps = [bases[i] for i in lanes]
-    ends = {key: _Crossings(*key) for key in {(p.q1, p.a2) for p in ps}}  # on q1, A2 alone
-    crossings = [ends[p.q1, p.a2] for p in ps]
+    ps, ends = [bases[i] for i in lanes], {}  # ends: the crossing ends of each (q1, A2)
     q = LaneParams(*map(np.atleast_1d, LaneParams.of(ps)))
 
     def f(sel, mu):  # at mass ratios mu for the lanes sel; 0.0 stops a lane that fails
         stage = q.at(sel)._replace(mu=mu)
-        points = _triangular_lanes(stage, [ps[j] for j in sel], [crossings[j] for j in sel])
+        points = _triangular_lanes(stage, [ps[j] for j in sel], ends)
         val = np.zeros(sel.size)
         for n, (j, row, point) in enumerate(zip(sel.tolist(), zip(*(v.tolist() for v in stage)), points)):
             if isinstance(point, Exception):

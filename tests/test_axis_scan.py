@@ -8,7 +8,7 @@ import re
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chermnykh.equilibria import (
@@ -22,7 +22,7 @@ from chermnykh.equilibria import (
     scan_collinear,
 )
 from chermnykh.errors import DomainError, NumericalError, ScanError
-from chermnykh.model import SystemParams, force_scale, omega_hessian
+from chermnykh.model import SINGULARITY_RADIUS, SystemParams, force_scale, omega_hessian
 from chermnykh.stability import classify
 
 from conftest import CLASSICAL
@@ -37,9 +37,9 @@ from legacy_scan import (
 
 EPS = np.finfo(float).eps
 
-# mu and T stop at 1e-6: below mu ~ 1e-9 the dense scan samples the origin
-# inside the keep-out around the bigger primary, and for thin belts its
-# grid cannot resolve the inner pair.
+# mu and T stop at 1e-6, the range the dense scan was written for: below mu ~
+# PRIMARY_GAP it samples the origin inside the keep-out around the bigger
+# primary, and for thin belts its grid cannot resolve the inner pair.
 params_box = st.builds(
     SystemParams,
     mu=st.floats(1e-6, 0.5),
@@ -56,15 +56,32 @@ def _quiet_params(mu, q1, a2, mb, log_t):
         return SystemParams(mu=mu, q1=q1, a2=a2, mb=mb, t_belt=10.0**log_t)
 
 
-# The whole documented box, with T log-uniform down to 1e-90.
-whole_box = st.builds(
-    _quiet_params,
-    mu=st.floats(0.0, 0.5, exclude_min=True),
-    q1=st.floats(0.0, 1.0),
-    a2=st.floats(0.0, 0.1),
-    mb=st.floats(0.0, 1.5),
-    log_t=st.floats(-90.0, math.log10(0.5)),
+# The whole documented box, with T log-uniform down to 1e-90, and its corner
+# of mu log-uniform down to 1e-8 and q1 down to 1e-6 with a belt, where the
+# inner pair can lie within 1e-9 of the bigger primary.
+whole_box = st.one_of(
+    st.builds(
+        _quiet_params,
+        mu=st.floats(0.0, 0.5, exclude_min=True),
+        q1=st.floats(0.0, 1.0),
+        a2=st.floats(0.0, 0.1),
+        mb=st.floats(0.0, 1.5),
+        log_t=st.floats(-90.0, math.log10(0.5)),
+    ),
+    st.builds(
+        _quiet_params,
+        mu=st.floats(-8.0, math.log10(0.5)).map(lambda e: min(10.0**e, 0.5)),
+        q1=st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
+        a2=st.floats(0.0, 0.1),
+        mb=st.floats(0.0, 10.0, exclude_min=True),
+        log_t=st.floats(-90.0, math.log10(0.5)),
+    ),
 )
+
+# Xb2 6.9e-10 right of the bigger primary, and L2 6.1e-12 right of the smaller
+NEAR_BIGGER = SystemParams(mu=1.3778839075808672e-08, q1=0.0055406720262001245, mb=1.9433919172941483,
+                           t_belt=1.72353695604805e-33, rc=0.8478159876878619)
+NEAR_SMALLER = SystemParams(mu=1.401298464324817e-45, q1=1.0, a2=0.0625, t_belt=0.1)
 
 
 def _outcome(fn, p):
@@ -90,8 +107,9 @@ def _step(p, x):
 
 def _crossing(p, x):
     """+1 where the reference axis force crosses zero upward at x, -1
-    downward, 0 where it does not change sign."""
-    h = _step(p, x)
+    downward, 0 where it does not change sign.  It steps no further than half
+    the way to the nearer primary, so both samples lie on the root's side."""
+    h = min(_step(p, x), 0.5 * min(abs(x + p.mu), abs(x + p.mu - 1.0)))
     lo, hi = axis_force(p, x - h), axis_force(p, x + h)
     if (lo < 0.0 <= hi) or (lo <= 0.0 < hi):
         return 1
@@ -203,6 +221,8 @@ def _matches_reference(p, roots):
 
 @settings(max_examples=300)
 @given(whole_box)
+@example(NEAR_BIGGER)
+@example(NEAR_SMALLER)
 def test_whole_box_points_are_right_or_the_error_is_true(p):
     try:
         points = find_collinear(p)
@@ -236,6 +256,16 @@ def test_whole_box_points_are_right_or_the_error_is_true(p):
         except DomainError as exc:
             # b and d reach (M_b / T^3)^2 in the core of a very thin belt
             assert "overflow" in str(exc) and p.t_belt < 1e-45
+
+
+def test_roots_beside_a_primary_are_found():
+    # the scan keeps out only twice the radius check_regular refuses, so
+    # these roots, within 1e-9 of a primary, get their labels
+    points = find_collinear(NEAR_BIGGER)
+    assert [e.kind for e in points] == ["L3", "Xb2", "Xb1", "L1", "L2"]
+    assert 2.0 * SINGULARITY_RADIUS < points[1].x + NEAR_BIGGER.mu < 1e-9
+    l2 = find_collinear(NEAR_SMALLER)[-1]
+    assert l2.kind == "L2" and 2.0 * SINGULARITY_RADIUS < l2.x + NEAR_SMALLER.mu - 1.0 < 1e-11
 
 
 def test_thin_belt_is_warning_free():

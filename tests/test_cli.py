@@ -311,6 +311,20 @@ class TestExitCodes:
         code, _ = run_to_file(tmp_path, ["equilibria"])
         assert code == EXIT_OK
 
+    # each subcommand's default invocation; sweep needs an axis
+    @pytest.mark.parametrize("argv", [["equilibria"], ["stability"], ["mu-crit"], ["zvc"],
+                                      ["integrate"], ["tables"], ["sweep", "--sweep-mb", "0,0.2"]])
+    def test_without_out_the_payload_goes_to_stdout_and_the_summary_to_stderr(
+            self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        summary, wrote = capsys.readouterr().out.splitlines()
+        assert wrote == f"wrote {out}"
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.encode("utf-8") == out.read_bytes()
+        assert captured.err == summary + "\n"
+
 
 class TestEquilibriaCommand:
     def test_five_points_with_belt(self, tmp_path):

@@ -118,7 +118,7 @@ def test_triangular_lanes_are_find_triangular_at_each_stage_mu():
     base = SystemParams(mu=0.025, q1=0.75, a2=0.02, mb=0.4)
     mus = [0.6, 0.02, 0.0, 0.3]
     q = LaneParams(*map(np.atleast_1d, LaneParams.of([base] * 4)))._replace(mu=np.array(mus))
-    out = equilibria._triangular_lanes(q, [base] * 4, [equilibria._Crossings(0.75, 0.02)] * 4)
+    out = equilibria._triangular_lanes(q, [base] * 4, {})
     for mu, got in zip(mus, out):
         try:
             want = equilibria.find_triangular(SystemParams(mu=mu, q1=0.75, a2=0.02, mb=0.4))[0]

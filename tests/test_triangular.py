@@ -14,6 +14,7 @@ bisection, apart from the float code it checks.
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from mpmath import mp, mpf
 from chermnykh import equilibria
 from chermnykh.equilibria import find_triangular
 from chermnykh.errors import NoTriangularPointsError, SingularPointError
-from chermnykh.model import SINGULARITY_RADIUS, SystemParams, omega_hessian
+from chermnykh.model import SINGULARITY_RADIUS, LaneParams, SystemParams, omega_hessian
 
 
 def _quiet_params(**kw):
@@ -184,6 +185,23 @@ def test_merge_between_the_primaries_is_certified_at_the_first_crossing():
     msg = str(info.value)
     assert "> 0 already where the circles first cross" in msg
     assert "merged into the axis between the primaries" in msg
+
+
+def test_a_root_within_newtons_axis_test_is_reported_as_such():
+    # F's root lies at y = 1.94e-5 with a residual of 4.4e-16, but its pull
+    # |Omega_yy y| is just under refine_equilibrium's 1e-13 residual test,
+    # which puts it on the axis; one float lower in M_b the point is L4.  The
+    # lane form leaves the lane to find_triangular, with its error
+    mb = 0.7924192339712862
+    assert find_triangular(SystemParams(mb=math.nextafter(mb, 0.0), **TANGENT))[0].kind == "L4"
+    p = SystemParams(mb=mb, **TANGENT)
+    with pytest.raises(NoTriangularPointsError) as info:
+        find_triangular(p)
+    msg = str(info.value)
+    assert "at y = 1.94122e-05 with |Omega_yy y| = 9.99999e-14" in msg
+    assert "within its 1e-13 residual test" in msg and "merged" not in msg
+    (lane,) = equilibria._triangular_lanes(LaneParams(*map(np.atleast_1d, LaneParams.of([p]))), [p], {})
+    assert (type(lane), str(lane)) == (NoTriangularPointsError, msg)
 
 
 def test_no_axis_scan(monkeypatch):
