@@ -5,7 +5,6 @@ radiating bigger primary, an oblate smaller primary, and a flattened
 circumbinary belt."""
 
 from .errors import (
-    ConvergenceError,
     DomainError,
     IntegrationError,
     NoResonanceError,
@@ -29,7 +28,6 @@ from .equilibria import (
     find_all,
     find_collinear,
     find_triangular,
-    refine_equilibrium,
     scan_collinear,
     triangular_analytic,
 )

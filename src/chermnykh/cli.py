@@ -79,10 +79,15 @@ def _parse_axis(text: str) -> tuple[float, ...]:
             start, stop, step = (float(v) for v in parts)
         except ValueError:
             raise UsageError(f"bad axis range {text!r}") from None
+        if not all(map(math.isfinite, (start, stop, step, stop - start))):
+            raise UsageError(
+                f"axis range {text!r} must have a finite start, stop, step and stop - start")
         if step <= 0.0 or stop < start:
             raise UsageError(f"axis range {text!r} must ascend with step > 0")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(sorted({start + i * step for i in range(n)}))
+        span = (stop - start) / step + 1e-9  # floor(span) + 1 values
+        if not span < MAX_SWEEP_CELLS:
+            raise UsageError(f"axis range {text!r} has more than {MAX_SWEEP_CELLS} values")
+        return tuple(sorted({start + i * step for i in range(math.floor(span) + 1)}))
     try:
         vals = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError:

@@ -52,7 +52,9 @@ triangular points are the roots of F(r2) = n^2 - M_b/(r^2 + T^2)^{3/2} -
 the primaries cross.  F is strictly increasing (README, "How off-axis
 points are found"); find_triangular takes the interval's two ends and F's
 root with brent, and F's sign at an end certifies that L4 and L5 have
-merged into the axis there when there is no root.
+merged into the axis there when there is no root.  L4 is the point of F's
+root as it stands, once check_regular, the on-axis rule and require_refined
+accept it: Brent's method is the module's one root finder.
 """
 
 from __future__ import annotations
@@ -64,13 +66,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    NoTriangularPointsError,
-    NumericalError,
-    ScanError,
-)
+from .errors import DomainError, NoTriangularPointsError, NumericalError, ScanError
 from .model import (
     SINGULARITY_RADIUS,
     THIN_BELT,
@@ -493,59 +489,6 @@ def _side(p: SystemParams, x: float) -> int:
     return -1 if x < -p.mu else (1 if x > 1.0 - p.mu else 0)
 
 
-def refine_equilibrium(p: SystemParams, guess) -> EquilibriumPoint:
-    """2-D Newton polish of an equilibrium guess.
-
-    ``guess`` is an (x, y) pair or an EquilibriumPoint.  Converges when the
-    gradient residual drops to 1e-13 or the Newton step to 1e-15, within 50
-    iterations.  The residual must be decreasing over the first three
-    iterations (basin check); a near-singular Hessian or divergence raises
-    ConvergenceError carrying the iteration trace.
-    """
-    if isinstance(guess, EquilibriumPoint):
-        x, y = guess.x, guess.y
-    else:
-        x, y = float(guess[0]), float(guess[1])
-    trace: list[tuple[float, float, float]] = []
-    for it in range(50):
-        check_regular(p, x, y)  # one guarded kernel evaluation per iterate
-        grad, hessian = kernel(p, x, y, 2)
-        gx, gy = grad
-        res = max(abs(gx), abs(gy))
-        trace.append((x, y, res))
-        if res <= 1e-13:
-            break
-        if it == 3 and trace[3][2] >= trace[0][2]:
-            raise ConvergenceError(
-                "guess not in a Newton basin (residual not decreasing)", trace
-            )
-        oxx, oxy, oyy = hessian
-        det = oxx * oyy - oxy * oxy
-        if abs(det) < 1e-14:
-            raise ConvergenceError(
-                f"degenerate Hessian (det = {det:.3e}) at iterate {it}", trace
-            )
-        dx = (oyy * gx - oxy * gy) / det
-        dy = (oxx * gy - oxy * gx) / det
-        x -= dx
-        y -= dy
-        if max(abs(dx), abs(dy)) <= 1e-15:
-            grad = None  # (x, y) has moved since
-            break
-    else:
-        raise ConvergenceError("no convergence within 50 iterations", trace)
-    # Newton cannot tell the axis point under (x, y) from a y within 1e-12
-    # of the axis or one whose pull Omega_yy * y (Omega_yy of the last step)
-    # is below its 1e-13 residual test; collinear points carry y = 0 exactly
-    if it == 0:
-        oyy = (hessian if grad else omega_hessian(p, x, y))[2]
-    if abs(y) <= 1e-12 or abs(y * oyy) <= 1e-13:  # labelled as the nearest axis point
-        kind, y, grad = min(find_collinear(p), key=lambda e: abs(e.x - x)).kind, 0.0, None
-    else:
-        kind = "L4" if y > 0.0 else "L5"
-    return _point(p, kind, x, y, grad)
-
-
 def triangular_analytic(
     p: SystemParams, radii: str = "consistent"
 ) -> tuple[EquilibriumPoint, EquilibriumPoint]:
@@ -687,27 +630,25 @@ def _find_triangular(p: SystemParams, ends: dict):
     r2 = brent(F, c.lo, hi, f_lo, F(hi))
     xpm, y2 = _circle_cross(_r1_of(p.q1, p.a2, r2), r2)
     x, y = xpm - p.mu, math.sqrt(max(y2, 0.0))
-    l4 = refine_equilibrium(p, (x, y))
-    if l4.kind != "L4":
+    check_regular(p, x, y)
+    grad, (_, _, oyy) = kernel(p, x, y, 2)
+    if y <= 1e-12 or abs(y * oyy) <= 1e-13:
         raise NoTriangularPointsError(
             f"F(r2) has its root at r2 = {r2:.17g}, at y = {y:.6g} with |Omega_yy y| = "
-            f"{abs(y * omega_hessian(p, x, y)[2]):.6g}: refine_equilibrium puts a point with |y| <= "
-            "1e-12 or |Omega_yy y| within its 1e-13 residual test on the axis, so it cannot tell L4 "
-            "and L5 from the axis point there; no triangular points for these parameters")
-    l5 = EquilibriumPoint("L5", l4.x, -l4.y, l4.r1, l4.r2, l4.residual)
-    return l4, l5
-
-
-_L4Lane = namedtuple("_L4Lane", "x y r1 r2")
+            f"{abs(y * oyy):.6g}: a point with |y| <= 1e-12, or with |Omega_yy y| within its 1e-13 "
+            "residual test, is within rounding of the axis, where L4 and L5 cannot be told from "
+            "the axis point; no triangular points for these parameters")
+    l4 = _point(p, "L4", x, y, grad)
+    require_refined(p, l4)
+    return l4, EquilibriumPoint("L5", x, -y, l4.r1, l4.r2, l4.residual)
 
 
 def _triangular_lanes(q: LaneParams, ps, ends: dict) -> list:
-    """find_triangular's L4 per lane of arrays q, each at its own mu, as an
-    _L4Lane or the error that stops it (ps[i]: the lane's SystemParams but
-    for mu, q1 > 0), with the _Crossings of ends as _find_triangular takes
-    them.  The lanes take find_triangular's IEEE operations, with one
-    brent_lanes for F; one that a check would stop or Newton would move runs
-    find_triangular itself."""
+    """find_triangular's L4 per lane of arrays q, each at its own mu, or the
+    error that stops it (ps[i]: the lane's SystemParams but for mu, q1 > 0),
+    with the _Crossings of ends as _find_triangular takes them.  The lanes
+    take find_triangular's IEEE operations, with one brent_lanes for F; one
+    that a check would stop runs find_triangular itself."""
     m = q.mu.size
     out, mu, k = [None] * m, q.mu.tolist(), np.arange(m)
     crossings = [ends.get((p.q1, p.a2)) or ends.setdefault((p.q1, p.a2), _Crossings(p.q1, p.a2))
@@ -717,8 +658,7 @@ def _triangular_lanes(q: LaneParams, ps, ends: dict) -> list:
         nonlocal k
         for i in k[off].tolist():
             try:
-                l4 = _find_triangular(replace(ps[i], mu=mu[i]), ends)[0]
-                out[i] = _L4Lane(l4.x, l4.y, l4.r1, l4.r2)
+                out[i] = _find_triangular(replace(ps[i], mu=mu[i]), ends)[0]
             except (DomainError, NumericalError) as exc:
                 out[i] = exc
         k = k[~off]
@@ -744,16 +684,18 @@ def _triangular_lanes(q: LaneParams, ps, ends: dict) -> list:
         r2[k] = brent_lanes(lambda i, x: F(k[i], x), lo[k], hi[k], f_lo[k], f_hi[k])
         xpm, y2 = _circle_cross(_r1_of(q.q1, q.a2, r2), r2)
         x, y = xpm - q.mu, np.sqrt(np.maximum(y2, 0.0))
-        # refine_equilibrium from (x, y): check_regular, then at iteration 0
-        # the residual test and the on-axis snap
+        # find_triangular's checks of (x, y): check_regular, the on-axis rule
+        # and require_refined, which a residual within RESIDUAL_TOL passes
         s = x + q.mu
         near = np.minimum(s * s, (s - 1.0) * (s - 1.0)) + y * y < SINGULARITY_RADIUS**2
         (gx, gy), (_, _, oyy) = kernel(q, x, y, 2)
-        leave((near | ((q.mb > 0.0) & (q.t_belt < THIN_BELT)) | ~(np.maximum(abs(gx), abs(gy)) <= 1e-13)
-               | (abs(y) <= 1e-12) | (abs(y * oyy) <= 1e-13))[k])
-    x, y = x.tolist(), y.tolist()
+        res = np.maximum(abs(gx), abs(gy))
+        leave((near | ((q.mb > 0.0) & (q.t_belt < THIN_BELT)) | (y <= 1e-12) | (abs(y * oyy) <= 1e-13)
+               | ~(res <= RESIDUAL_TOL))[k])
+    x, y, res = x.tolist(), y.tolist(), res.tolist()
     for i in k.tolist():
-        out[i] = _L4Lane(x[i], y[i], math.hypot(x[i] + mu[i], y[i]), math.hypot(x[i] + mu[i] - 1.0, y[i]))
+        r1, r2 = math.hypot(x[i] + mu[i], y[i]), math.hypot(x[i] + mu[i] - 1.0, y[i])
+        out[i] = EquilibriumPoint("L4", x[i], y[i], r1, r2, res[i])
     return out
 
 

@@ -2,8 +2,8 @@
 
 The command-line layer maps these onto exit codes: domain errors (bad inputs,
 singular positions, parameter sets without the requested feature) exit 2,
-numerical failures (refinement divergence, scan anomalies, integration
-breakdown) exit 3.
+numerical failures (scan anomalies, integration breakdown, a failed
+consistency check) exit 3.
 """
 
 from __future__ import annotations
@@ -35,23 +35,6 @@ class NoResonanceError(DomainError):
 
 class NumericalError(RuntimeError):
     """A solver failed to produce a trustworthy result."""
-
-
-class ConvergenceError(NumericalError):
-    """Newton refinement diverged or hit a degenerate Hessian.
-
-    Carries the iteration trace (list of (x, y, residual) triples) so the
-    caller can see where the iteration went.
-    """
-
-    def __init__(self, message: str, trace=None):
-        self.trace = list(trace) if trace is not None else []
-        if self.trace:
-            tail = "; ".join(
-                f"({x:.6g}, {y:.6g}) |grad|={r:.3e}" for x, y, r in self.trace[-3:]
-            )
-            message = f"{message} [last iterates: {tail}]"
-        super().__init__(message)
 
 
 class ScanError(NumericalError):

@@ -17,6 +17,7 @@ from chermnykh.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_SWEEP_CELLS,
     RunConfig,
     UsageError,
     _parse_axis,
@@ -63,6 +64,23 @@ class TestValueParsing:
         for bad in ("", "1:0:0.1", "0:1:0", "0:1", "a,b"):
             with pytest.raises(UsageError):
                 _parse_axis(bad)
+
+    @pytest.mark.parametrize("bad", ["0:inf:1", "-inf:0:1", "nan:1:0.1", "0:1:inf", "0:nan:1",
+                                     "-1e308:1e308:1e300"])
+    def test_axis_range_ends_and_step_must_be_finite(self, bad):
+        with pytest.raises(UsageError, match="must have a finite start, stop, step and stop - start"):
+            _parse_axis(bad)
+
+    @pytest.mark.parametrize("bad", ["0:1e12:1", "0:1e308:1e-300", f"0:{MAX_SWEEP_CELLS}:1"])
+    def test_axis_range_past_the_sweep_limit_is_refused_before_it_is_built(self, bad):
+        with pytest.raises(UsageError, match=f"more than {MAX_SWEEP_CELLS} values"):
+            _parse_axis(bad)
+
+    def test_axis_range_at_the_sweep_limit_is_built(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_CELLS", 5)
+        assert _parse_axis("1:5:1") == (1.0, 2.0, 3.0, 4.0, 5.0)
+        with pytest.raises(UsageError, match="more than 5 values"):
+            _parse_axis("1:6:1")
 
 
 # Every option flag with a text and the value it parses to, each value
@@ -289,6 +307,11 @@ class TestExitCodes:
 
     def test_usage_empty_axis(self):
         assert main(["sweep", "--sweep-mu", ""]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("axis", ["0:inf:1", "0:1e12:1"])
+    def test_usage_unbounded_axis_range(self, axis, capsys):
+        assert main(["sweep", "--sweep-mu", axis]) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
 
     def test_domain_error(self, capsys):
         assert main(["equilibria", "--mu", "0.9"]) == EXIT_DOMAIN

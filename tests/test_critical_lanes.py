@@ -125,7 +125,7 @@ def test_triangular_lanes_are_find_triangular_at_each_stage_mu():
         except DomainError as exc:
             assert (type(got), str(got)) == (type(exc), str(exc))
         else:
-            assert (got.x, got.y, got.r1, got.r2) == (want.x, want.y, want.r1, want.r2)
+            assert got == want
 
 
 def test_a_lane_does_not_depend_on_its_block():
@@ -172,17 +172,16 @@ def test_lane_gradient_and_hessian_are_the_float_kernels(draws):
         assert [float(v).hex() for v in got] == [v.hex() for v in (wx, wy, *want)]
 
 
-def test_refine_makes_one_guarded_evaluation_per_iterate(monkeypatch):
+def test_find_triangular_makes_one_guarded_evaluation(monkeypatch):
     p = SystemParams(mu=0.02, q1=0.8, a2=0.01, mb=0.3, t_belt=0.05)
-    l4 = equilibria.find_triangular(p)[0]
+    want = equilibria.find_triangular(p)
     calls = []
     check = equilibria.check_regular
     monkeypatch.setattr(equilibria, "check_regular", lambda *a: calls.append(a) or check(*a))
     for name in ("omega_grad", "omega_hessian"):
         monkeypatch.setattr(equilibria, name, None)
-    again = equilibria.refine_equilibrium(p, (l4.x, l4.y))
-    assert len(calls) == 1
-    assert (again.x, again.y, again.r1, again.r2, again.residual) == (l4.x, l4.y, l4.r1, l4.r2, l4.residual)
+    assert equilibria.find_triangular(p) == want
+    assert calls == [(p, want[0].x, want[0].y)]
 
 
 def test_benchmark_trace_bindings_exist():

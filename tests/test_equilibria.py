@@ -21,12 +21,11 @@ from chermnykh.equilibria import (
     find_all,
     find_collinear,
     find_triangular,
-    refine_equilibrium,
+    require_refined,
     scan_collinear,
     triangular_analytic,
 )
 from chermnykh.errors import (
-    ConvergenceError,
     DomainError,
     NoTriangularPointsError,
     ScanError,
@@ -123,7 +122,7 @@ class TestFindCollinear:
         knee = -p.t_belt / math.sqrt(2.0)
         assert knee < k["Xb2"].x < k["Xb1"].x < 0.0
         for e in pts:
-            assert refine_equilibrium(p, (e.x, e.y)).kind == e.kind
+            require_refined(p, e)
 
     def test_scan_record(self, classical):
         scan = scan_collinear(classical)
@@ -144,7 +143,7 @@ class TestFindCollinear:
         assert "mb" in msg and "t_belt" in msg
         assert "increase samples" not in msg
         with pytest.raises(DomainError):
-            refine_equilibrium(p, (0.75, 0.0))  # no axis label either
+            find_all(p)  # no axis labels either
 
     def test_inner_pair_about_the_origin_labelled_by_crossing(self):
         # at mu = 1/2, f(0) = 0: the belt pair straddles the origin, with
@@ -157,7 +156,7 @@ class TestFindCollinear:
         assert k["Xb1"].x == 0.0
         assert k["L1"].x == pytest.approx(0.223215, abs=1e-6)
         for e in pts:
-            assert refine_equilibrium(p, e).kind == e.kind
+            require_refined(p, e)
 
     def test_q1_zero_pattern_error_names_the_missing_pole(self):
         with warnings.catch_warnings():
@@ -243,44 +242,6 @@ class TestTriangularAnalytic:
             )
 
 
-class TestRefinement:
-    def test_from_offset_guess(self, classical):
-        e = refine_equilibrium(classical, (L4_X + 1e-3, L4_Y - 1e-3))
-        assert e.kind == "L4"
-        assert e.x == pytest.approx(L4_X, abs=1e-13)
-        assert e.y == pytest.approx(L4_Y, abs=1e-13)
-        assert e.residual <= 1e-13
-
-    def test_idempotent(self, classical):
-        e = refine_equilibrium(classical, (L4_X + 1e-3, L4_Y - 1e-3))
-        e2 = refine_equilibrium(classical, e)
-        assert e2.x == e.x and e2.y == e.y
-
-    def test_axis_guess_stays_on_axis(self, classical):
-        e = refine_equilibrium(classical, (0.75, 0.0))
-        assert e.kind == "L1"
-        assert e.y == 0.0
-        assert e.x == pytest.approx(L1_X, abs=1e-12)
-
-    def test_out_of_basin_raises_with_trace(self, classical):
-        with pytest.raises(ConvergenceError) as exc:
-            refine_equilibrium(classical, (10.0, 10.0))
-        assert len(exc.value.trace) >= 2
-        assert "last iterates" in str(exc.value)
-
-    def test_point_next_to_the_axis_snaps_onto_it(self, classical):
-        # 1.2e-12 above L3, the pull Omega_yy y is below the 1e-13 residual
-        # test, so the point is L3 on the axis
-        e = refine_equilibrium(classical, (L3_X, 1.2e-12))
-        assert e.kind == "L3" and e.y == 0.0
-        assert e.x == pytest.approx(L3_X, abs=1e-14)
-
-    def test_point_is_frozen(self, classical):
-        e = refine_equilibrium(classical, (0.75, 0.0))
-        with pytest.raises(FrozenInstanceError):
-            e.x = 0.0
-
-
 class TestFindTriangular:
     def test_classical(self, classical):
         l4, l5 = find_triangular(classical)
@@ -327,6 +288,11 @@ class TestFindAll:
     def test_strong_belt_seven(self):
         kinds = [e.kind for e in find_all(STRONG_BELT)]
         assert kinds == ["L3", "Xb2", "Xb1", "L1", "L2", "L4", "L5"]
+
+    def test_point_is_frozen(self, classical):
+        e = find_all(classical)[1]
+        with pytest.raises(FrozenInstanceError):
+            e.x = 0.0
 
     def test_l4_where_a_two_pass_seed_found_no_crossing(self):
         # an approximate seed, the belt radius taken at the classical

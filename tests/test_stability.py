@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chermnykh.equilibria import find_all, find_collinear, find_triangular, refine_equilibrium
+from chermnykh.equilibria import find_all, find_collinear, find_triangular
 from chermnykh.errors import (
     DomainError,
     NoResonanceError,

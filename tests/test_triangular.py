@@ -81,8 +81,8 @@ def mp_triangular(p):
 
 
 def _within_rounding_of_the_axis(p, x, y):
-    """refine_equilibrium's rule for an axis point: y within 1e-12 of the
-    axis, or a pull Omega_yy y below its 1e-13 residual test (with slack)."""
+    """find_triangular's rule for a point on the axis: y within 1e-12 of
+    the axis, or a pull Omega_yy y within 1e-13 (with slack)."""
     return y <= 2e-12 or abs(y * omega_hessian(p, x, y)[2]) <= 2e-13
 
 
@@ -189,7 +189,7 @@ def test_merge_between_the_primaries_is_certified_at_the_first_crossing():
 
 def test_a_root_within_newtons_axis_test_is_reported_as_such():
     # F's root lies at y = 1.94e-5 with a residual of 4.4e-16, but its pull
-    # |Omega_yy y| is just under refine_equilibrium's 1e-13 residual test,
+    # |Omega_yy y| is just under the 1e-13 of find_triangular's on-axis rule,
     # which puts it on the axis; one float lower in M_b the point is L4.  The
     # lane form leaves the lane to find_triangular, with its error
     mb = 0.7924192339712862
